@@ -55,7 +55,7 @@ impl std::hash::Hasher for FnvHasher {
 /// committed default. Shared by `perfsmoke` (writer) and `benchdiff`
 /// (reader) so the name is wired in exactly one place.
 pub fn default_bench_file() -> String {
-    std::env::var("BENCH_FILE").unwrap_or_else(|_| "BENCH_pr10.json".to_string())
+    std::env::var("BENCH_FILE").unwrap_or_else(|_| "BENCH_pr12.json".to_string())
 }
 
 /// The per-probe fields the gate reads (a subset of perfsmoke's record, so

@@ -1,6 +1,6 @@
 //! Perf smoke: times the parallelized hot paths at 1 and N threads and
-//! writes a `BENCH_*.json` record (default `BENCH_pr8.json` at the
-//! repository root; override with `--out <path>`), including an end-of-run
+//! writes a `BENCH_*.json` record (default: `benchgate::default_bench_file`
+//! at the repository root; override with `--out <path>`), including an end-of-run
 //! `frote-obs` metrics snapshot whose thread-invariant counters `benchdiff`
 //! gates like output hashes.
 //!
@@ -23,13 +23,6 @@
 //! modest by design — the parallel gradient and the cache reuse are where
 //! the training-loop time goes.
 //!
-//! PR 8 adds the sharded data plane: `shard_hist_fit` (histogram tree
-//! training with 64-row shards, per-shard builds merged in shard order)
-//! and `smote_sharded` (SMOTE generation over per-shard kNN scans), each
-//! digest-asserted equal to its unsharded twin, plus a dataset-size
-//! `scaling` section (WineQuality at the three `frote_eval::Scale` row
-//! counts) recording how the sharded and unsharded fits scale together.
-//!
 //! PR 9 adds the serving plane: a `serve` section with `serve_latency`
 //! (sequential single-client request p50/p99 over the wire) and a
 //! `serve_sweep_rows{1,16,128}` batch-size sweep under 4 concurrent
@@ -46,7 +39,6 @@ use frote_bench::CliOptions;
 use frote_data::encode::Encoder;
 use frote_data::synth::{DatasetKind, SynthConfig};
 use frote_data::{Binner, Dataset, FeatureMatrix, Value};
-use frote_eval::Scale;
 use frote_ml::balltree::BallTree;
 use frote_ml::distance::{MixedDistance, MixedMetric};
 use frote_ml::forest::{ForestParams, RandomForestTrainer};
@@ -101,19 +93,6 @@ impl ModeComparison {
     }
 }
 
-/// One point of the dataset-size scaling curve: the same histogram tree
-/// fit, unsharded vs 64-row shards, at one `frote_eval::Scale` row count.
-#[derive(Debug, Serialize)]
-struct ScalingPoint {
-    scale: String,
-    n_rows: usize,
-    unsharded_ms: f64,
-    sharded_ms: f64,
-    /// Whether the sharded fit's predictions matched the unsharded fit's
-    /// bit for bit (always asserted, recorded for the JSON reader).
-    identical: bool,
-}
-
 /// One serve-path probe: request latencies over the wire through the
 /// micro-batcher, with the responses digest-asserted against a direct
 /// `predict_rows` call on the same rows.
@@ -143,8 +122,6 @@ struct PerfSmoke {
     threads_compared: Vec<usize>,
     benches: Vec<BenchRecord>,
     mode_comparisons: Vec<ModeComparison>,
-    /// Dataset-size scaling of the sharded vs unsharded histogram fit.
-    scaling: Vec<ScalingPoint>,
     /// Serve-path probes: latency percentiles + response digests of the
     /// PR 9 serving plane (`serve_latency`, the batch-size sweep).
     serve: Vec<ServeRecord>,
@@ -420,12 +397,7 @@ fn naive_scalar_lr_fit(ds: &Dataset, params: &LogRegParams) -> u64 {
 fn main() {
     // `FROTE_THREADS` outranks `set_threads` in the resolver, which would
     // pin both sides of every comparison; this binary owns its thread count.
-    // Likewise `FROTE_SHARD_ROWS` outranks `set_shard_rows`, and the
-    // sharded probes below own their shard size (their unsharded twins
-    // must really run unsharded for the digest cross-checks to mean
-    // anything), so the binary clears it too.
     std::env::remove_var("FROTE_THREADS");
-    std::env::remove_var("FROTE_SHARD_ROWS");
     let opts = CliOptions::from_env();
     // Interior counters feed the record's `metrics` section. Recording is
     // observation-only — every digest asserted below is pinned by the
@@ -456,14 +428,11 @@ fn main() {
         .min_by_key(|&c| ds.indices_of_class(c).len())
         .expect("has classes");
     let smote = Smote::new(SmoteParams::default());
-    let smote_probe = || {
+    benches.push(record("smote_generation", threads, 3, || {
         let mut rng = StdRng::seed_from_u64(7);
         let out = smote.generate(&ds, minority, 1500, &mut rng).expect("generation succeeds");
         hash_of(&format!("{out:?}"))
-    };
-    let smote_rec = record("smote_generation", threads, 3, smote_probe);
-    let smote_fnv = smote_rec.output_fnv.clone();
-    benches.push(smote_rec);
+    }));
 
     // 3. Rule-coverage scan over a wide synthetic dataset: the compiled
     // columnar engine (`frote_rules::engine`, what `Clause::coverage` now
@@ -528,7 +497,6 @@ fn main() {
     let dt_exact = record("dt_fit_exact", threads, 2, || dt_fit(SplitMode::Exact));
     let dt_hist = record("dt_fit_hist", threads, 2, || dt_fit(SplitMode::histogram()));
     mode_comparisons.push(ModeComparison::new("dt_fit", dt_exact.serial_ms, dt_hist.serial_ms));
-    let (dt_hist_fnv, dt_hist_serial_ms) = (dt_hist.output_fnv.clone(), dt_hist.serial_ms);
     benches.push(dt_exact);
     benches.push(dt_hist);
     let gbdt_exact = record("gbdt_fit_exact", threads, 2, || gbdt_fit(SplitMode::Exact));
@@ -540,73 +508,6 @@ fn main() {
     ));
     benches.push(gbdt_exact);
     benches.push(gbdt_hist);
-
-    // 6b. The PR 8 sharded data plane. `shard_hist_fit`: the same histogram
-    // DT fit with the rows chunked into 64-row shards — per-shard class
-    // histograms merged in shard order. Integer counts are exact in f64,
-    // so the fit must reproduce the unsharded model's predictions bit for
-    // bit; the digest cross-check enforces it. `smote_sharded`: the SMOTE
-    // probe again with every kNN scan decomposed into per-shard local
-    // top-k scans merged globally — same bit-identity contract.
-    frote_data::sharded::set_shard_rows(64);
-    let shard_hist = record("shard_hist_fit", threads, 2, || dt_fit(SplitMode::histogram()));
-    let smote_sharded = record("smote_sharded", threads, 3, smote_probe);
-    frote_data::sharded::clear_shard_rows_override();
-    assert_eq!(shard_hist.output_fnv, dt_hist_fnv, "sharded and unsharded histogram fits diverged");
-    assert_eq!(
-        smote_sharded.output_fnv, smote_fnv,
-        "sharded and unsharded SMOTE generation diverged"
-    );
-    mode_comparisons.push(ModeComparison::new(
-        "shard_hist_fit",
-        dt_hist_serial_ms,
-        shard_hist.serial_ms,
-    ));
-    benches.push(shard_hist);
-    benches.push(smote_sharded);
-
-    // 6c. Dataset-size scaling: the histogram DT fit at the three
-    // `frote_eval::Scale` WineQuality row counts (600 / 2000 / 4898),
-    // unsharded vs 64-row shards, timed at the parallel thread count. The
-    // curve documents that sharding's merge overhead stays flat relative
-    // to dataset size; `identical` is asserted at every point.
-    let mut scaling = Vec::new();
-    for scale in [Scale::Smoke, Scale::Medium, Scale::Paper] {
-        let kind = DatasetKind::WineQuality;
-        let n_rows = match scale.n_rows(kind) {
-            0 => kind.paper_n_rows(),
-            n => n,
-        };
-        let scale_ds = kind.generate(&SynthConfig { n_rows, ..Default::default() });
-        let fit = || {
-            let params = TreeParams {
-                max_depth: 8,
-                split_mode: SplitMode::histogram(),
-                ..Default::default()
-            };
-            let model = DecisionTreeTrainer::new(params, 42).train(&scale_ds);
-            hash_of(&model.predict_dataset(&scale_ds))
-        };
-        frote_par::set_threads(threads);
-        let (unsharded_ms, unsharded_digest) = time_best(2, fit);
-        frote_data::sharded::set_shard_rows(64);
-        let (sharded_ms, sharded_digest) = time_best(2, fit);
-        frote_data::sharded::clear_shard_rows_override();
-        frote_par::set_threads(1);
-        assert_eq!(
-            sharded_digest,
-            unsharded_digest,
-            "sharded fit diverged at scale {} ({n_rows} rows)",
-            scale.name()
-        );
-        scaling.push(ScalingPoint {
-            scale: scale.name().to_string(),
-            n_rows,
-            unsharded_ms,
-            sharded_ms,
-            identical: sharded_digest == unsharded_digest,
-        });
-    }
 
     // 7. The PR 5 kernel layer. `lr_fit`: the blocked/kernel logistic-
     // regression fit, gated on its prediction digest and compared against
@@ -927,12 +828,6 @@ fn main() {
             m.name, m.baseline_ms, m.optimized_ms, m.speedup
         );
     }
-    for p in &scaling {
-        println!(
-            "  scaling {:<8} {:>6} rows | unsharded {:>8.2} ms | sharded {:>8.2} ms | identical {}",
-            p.scale, p.n_rows, p.unsharded_ms, p.sharded_ms, p.identical
-        );
-    }
     for s in &serve {
         println!(
             "  {:<22} {:>3} reqs x {:>3} rows @ c{} | p50 {:>7.2} ms | p99 {:>7.2} ms | direct-match {} | fnv {}",
@@ -946,7 +841,6 @@ fn main() {
         threads_compared: vec![1, threads],
         benches,
         mode_comparisons,
-        scaling,
         serve,
         metrics: frote_obs::snapshot(),
         note: "speedups are recorded, not gated; single-core hosts report ~1x parallel speedups"

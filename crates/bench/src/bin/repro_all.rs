@@ -1,5 +1,5 @@
 //! Runs every table/figure reproduction in sequence (smoke scale by
-//! default). `EXPERIMENTS.md` archives a full transcript.
+//! default) and prints each rendered table.
 
 use frote::ModStrategy;
 use frote_bench::CliOptions;

@@ -17,17 +17,12 @@ use std::sync::OnceLock;
 
 use crate::column::Column;
 use crate::dataset::Dataset;
-use crate::sync::{CacheCounters, RebuildReason, SyncOutcome};
+use crate::sync::{CacheCounters, IncrementalCache, Plane};
 use crate::value::{FeatureKind, Value};
 
 /// Rows per parallel block when batch-binning. Block boundaries never affect
 /// the codes, only the schedule.
 const BIN_BLOCK: usize = 1024;
-
-fn counters() -> &'static CacheCounters {
-    static COUNTERS: OnceLock<CacheCounters> = OnceLock::new();
-    COUNTERS.get_or_init(|| CacheCounters::new("binned_cache"))
-}
 
 /// Per-feature binning rule.
 #[derive(Debug, Clone, PartialEq)]
@@ -389,98 +384,68 @@ impl BinnedMatrix {
     }
 }
 
+impl Plane for Binner {
+    type Rows = BinnedMatrix;
+    const FAULT_SITE: &'static str = "data.cache.binned.append";
+
+    fn counters() -> &'static CacheCounters {
+        static COUNTERS: OnceLock<CacheCounters> = OnceLock::new();
+        COUNTERS.get_or_init(|| CacheCounters::new("binned_cache"))
+    }
+
+    fn refit(&self, ds: &Dataset) -> Binner {
+        Binner::fit(ds, self.max_bins)
+    }
+
+    fn build(&self, ds: &Dataset) -> BinnedMatrix {
+        self.bin_dataset(ds)
+    }
+
+    fn append(&self, ds: &Dataset, rows: &mut BinnedMatrix) {
+        Binner::append(self, ds, rows);
+    }
+
+    fn n_rows(rows: &BinnedMatrix) -> usize {
+        rows.n_rows()
+    }
+
+    fn truncate_rows(rows: &mut BinnedMatrix, n: usize) {
+        rows.truncate_rows(n);
+    }
+}
+
 /// An incrementally maintained binned view of a growing dataset: the fitted
 /// [`Binner`] plus the full [`BinnedMatrix`] of codes, kept in sync by
 /// appending only new rows whenever growth leaves the fitted edges unchanged
 /// (always, for pure-categorical schemas) and re-binning otherwise — the
 /// quantized twin of [`crate::EncodedCache`].
 ///
-/// The cache is exact by construction: after [`BinnedCache::sync`],
-/// `binner()` equals `Binner::fit(ds, max_bins)` and `codes()` equals
-/// `binner().bin_dataset(ds)` bit for bit.
-#[derive(Debug, Clone)]
-pub struct BinnedCache {
-    binner: Binner,
-    codes: BinnedMatrix,
-    /// Set by [`BinnedCache::truncate`]: the stored binner may have been
-    /// fitted on since-dropped rows, so the next [`BinnedCache::sync`] must
-    /// re-check the fit even when the row counts already match.
-    stale_fit: bool,
-}
+/// Exact by construction (see [`IncrementalCache`]): after
+/// [`IncrementalCache::sync`], `binner()` equals `Binner::fit(ds, max_bins)`
+/// and `codes()` equals `binner().bin_dataset(ds)` bit for bit.
+pub type BinnedCache = IncrementalCache<Binner>;
 
 impl BinnedCache {
     /// Fits the binner to `ds` and bins every row.
     pub fn fit(ds: &Dataset, max_bins: usize) -> BinnedCache {
-        let binner = Binner::fit(ds, max_bins);
-        let codes = binner.bin_dataset(ds);
-        BinnedCache { binner, codes, stale_fit: false }
-    }
-
-    /// Brings the cache in sync with `ds`, whose leading `codes().n_rows()`
-    /// rows must be unchanged since the last sync. Returns how the cache was
-    /// updated: [`SyncOutcome::Appended`] when the fitted edges held and only
-    /// new rows were binned, [`SyncOutcome::Rebuilt`] (with the reason) when
-    /// a full re-bin was required.
-    pub fn sync(&mut self, ds: &Dataset) -> SyncOutcome {
-        let outcome = self.sync_inner(ds);
-        counters().record_sync(&outcome);
-        outcome
-    }
-
-    fn sync_inner(&mut self, ds: &Dataset) -> SyncOutcome {
-        if !self.stale_fit && ds.n_rows() == self.codes.n_rows() {
-            return SyncOutcome::Unchanged; // even the refit can be skipped
-        }
-        let was_stale = self.stale_fit;
-        self.stale_fit = false;
-        let refit = Binner::fit(ds, self.binner.max_bins());
-        if refit == self.binner && frote_faults::point("data.cache.binned.append").is_ok() {
-            let appended = ds.n_rows() - self.codes.n_rows();
-            self.binner.append(ds, &mut self.codes);
-            SyncOutcome::Appended { rows: appended }
-        } else if refit == self.binner {
-            // An injected fault poisoned the append fast path: degrade to a
-            // full rebuild — bit-identical output, only the cost changes.
-            self.codes = self.binner.bin_dataset(ds);
-            SyncOutcome::Rebuilt(RebuildReason::Injected)
-        } else {
-            self.binner = refit;
-            self.codes = self.binner.bin_dataset(ds);
-            SyncOutcome::Rebuilt(if was_stale {
-                RebuildReason::StaleFit
-            } else {
-                RebuildReason::FitChanged
-            })
-        }
-    }
-
-    /// Drops cached codes past the first `rows` rows (rejecting a candidate
-    /// batch without re-binning the survivors). The surviving codes stay
-    /// valid — a row's codes depend only on the binner — but the binner
-    /// itself may have been refitted on the dropped rows, so the next
-    /// [`BinnedCache::sync`] re-checks the fit.
-    pub fn truncate(&mut self, rows: usize) {
-        if rows < self.codes.n_rows() {
-            self.stale_fit = true;
-            counters().record_truncate(self.codes.n_rows() - rows);
-        }
-        self.codes.truncate_rows(rows);
+        IncrementalCache::new(Binner::fit(ds, max_bins), ds)
     }
 
     /// The current binner fit.
     pub fn binner(&self) -> &Binner {
-        &self.binner
+        &self.fit
     }
 
     /// The bin codes, one row per dataset row as of the last sync.
     pub fn codes(&self) -> &BinnedMatrix {
-        &self.codes
+        &self.rows
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::{RebuildReason, SyncOutcome};
     use crate::Schema;
 
     fn mixed() -> Dataset {
@@ -591,7 +556,7 @@ mod tests {
         let mut cache = BinnedCache::fit(&ds, 16);
         ds.push_row(&[Value::Cat(1)], 1).unwrap();
         assert_eq!(
-            cache.sync(&ds),
+            cache.sync_unfaulted(&ds),
             SyncOutcome::Appended { rows: 1 },
             "categorical bins never change: append path"
         );
@@ -612,7 +577,7 @@ mod tests {
         });
         assert_eq!(cache.codes(), &cache.binner().bin_dataset(&ds));
         ds.push_row(&row, ds0.labels()[0]).unwrap();
-        assert_eq!(cache.sync(&ds), SyncOutcome::Appended { rows: 1 }, "fault cleared");
+        assert_eq!(cache.sync_unfaulted(&ds), SyncOutcome::Appended { rows: 1 }, "fault cleared");
     }
 
     #[test]
@@ -621,7 +586,7 @@ mod tests {
         let mut cache = BinnedCache::fit(&ds, 16);
         ds.push_row(&[Value::Num(100.0), Value::Cat(0)], 0).unwrap();
         assert_eq!(
-            cache.sync(&ds),
+            cache.sync_unfaulted(&ds),
             SyncOutcome::Rebuilt(RebuildReason::FitChanged),
             "new distinct value: edges move, full re-bin"
         );
@@ -636,7 +601,7 @@ mod tests {
         cache.truncate(5);
         assert_eq!(cache.codes().n_rows(), 5);
         assert_eq!(
-            cache.sync(&ds),
+            cache.sync_unfaulted(&ds),
             SyncOutcome::Appended { rows: 7 },
             "unchanged edges survive the stale-fit re-check: append path"
         );
@@ -654,13 +619,13 @@ mod tests {
         let mut candidate = ds.clone();
         candidate.push_row(&[Value::Num(100.0), Value::Cat(0)], 0).unwrap();
         assert_eq!(
-            cache.sync(&candidate),
+            cache.sync_unfaulted(&candidate),
             SyncOutcome::Rebuilt(RebuildReason::FitChanged),
             "edges moved: full re-bin"
         );
         cache.truncate(ds.n_rows());
         assert_eq!(
-            cache.sync(&ds),
+            cache.sync_unfaulted(&ds),
             SyncOutcome::Rebuilt(RebuildReason::StaleFit),
             "rollback left edges fitted on dropped rows"
         );

@@ -18,19 +18,13 @@ use std::sync::OnceLock;
 use crate::column::Column;
 use crate::dataset::Dataset;
 use crate::matrix::FeatureMatrix;
-use crate::sharded::ShardedMatrix;
 use crate::stats::NumericStats;
-use crate::sync::{CacheCounters, RebuildReason, SyncOutcome};
+use crate::sync::{CacheCounters, IncrementalCache, Plane};
 use crate::value::{FeatureKind, Value};
 
 /// Rows per parallel block when batch-encoding. Block boundaries never
 /// affect results, only the schedule.
 const ENCODE_BLOCK: usize = 512;
-
-fn counters() -> &'static CacheCounters {
-    static COUNTERS: OnceLock<CacheCounters> = OnceLock::new();
-    COUNTERS.get_or_init(|| CacheCounters::new("encoded_cache"))
-}
 
 /// A fitted feature encoder. See the [module docs](self).
 ///
@@ -164,49 +158,35 @@ impl Encoder {
             matrix.push_row_with(|buf| self.encode_ds_row(ds, i, buf));
         }
     }
+}
 
-    /// Encodes every row of `ds` into a [`ShardedMatrix`], one parallel
-    /// task per shard (shard size from the [`crate::sharded::shard_rows`]
-    /// resolver). Every cell funnels through the same encoding arithmetic
-    /// as [`Encoder::encode`], so the result flattens cell-for-cell equal
-    /// to [`Encoder::encode_dataset`] at any shard size or thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ds`'s schema does not match the fitted dataset's.
-    pub fn encode_dataset_sharded(&self, ds: &Dataset) -> ShardedMatrix {
-        assert_eq!(ds.n_features(), self.cols.len(), "row arity mismatch");
-        let shard_rows = crate::sharded::shard_rows();
-        let n = ds.n_rows();
-        let ranges: Vec<(usize, usize)> =
-            (0..n).step_by(shard_rows).map(|s| (s, (s + shard_rows).min(n))).collect();
-        let shards = frote_par::par_map(&ranges, |&(start, end)| {
-            if self.width == 0 {
-                return FeatureMatrix::zero_width(end - start);
-            }
-            let mut m = FeatureMatrix::with_capacity(self.width, end - start);
-            for i in start..end {
-                m.push_row_with(|buf| self.encode_ds_row(ds, i, buf));
-            }
-            m
-        });
-        ShardedMatrix::from_shards(self.width, shard_rows, shards)
+impl Plane for Encoder {
+    type Rows = FeatureMatrix;
+    const FAULT_SITE: &'static str = "data.cache.encoded.append";
+
+    fn counters() -> &'static CacheCounters {
+        static COUNTERS: OnceLock<CacheCounters> = OnceLock::new();
+        COUNTERS.get_or_init(|| CacheCounters::new("encoded_cache"))
     }
 
-    /// The sharded counterpart of [`Encoder::encode_append`]: appends the
-    /// encodings of `ds`'s trailing rows to `matrix`, opening new shards as
-    /// they fill.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix width differs from the encoder width, or if the
-    /// matrix already has more rows than `ds`.
-    pub fn encode_append_sharded(&self, ds: &Dataset, matrix: &mut ShardedMatrix) {
-        assert_eq!(matrix.width(), self.width, "matrix width must equal the encoder width");
-        assert!(matrix.n_rows() <= ds.n_rows(), "matrix has more rows than the dataset");
-        for i in matrix.n_rows()..ds.n_rows() {
-            matrix.push_row_with(|buf| self.encode_ds_row(ds, i, buf));
-        }
+    fn refit(&self, ds: &Dataset) -> Encoder {
+        Encoder::fit(ds)
+    }
+
+    fn build(&self, ds: &Dataset) -> FeatureMatrix {
+        self.encode_dataset(ds)
+    }
+
+    fn append(&self, ds: &Dataset, rows: &mut FeatureMatrix) {
+        self.encode_append(ds, rows);
+    }
+
+    fn n_rows(rows: &FeatureMatrix) -> usize {
+        rows.n_rows()
+    }
+
+    fn truncate_rows(rows: &mut FeatureMatrix, n: usize) {
+        rows.truncate_rows(n);
     }
 }
 
@@ -216,94 +196,32 @@ impl Encoder {
 /// unchanged (always, for pure-categorical schemas such as the paper's Car /
 /// Mushroom / Nursery benchmarks) and re-encoding in place otherwise.
 ///
-/// The cache is exact by construction: after [`EncodedCache::sync`],
-/// `encoder()` equals `Encoder::fit(ds)` and `matrix()` equals
-/// `encoder().encode_dataset(ds)` bit for bit — callers trade no determinism
-/// for the saved work.
-#[derive(Debug, Clone)]
-pub struct EncodedCache {
-    encoder: Encoder,
-    matrix: FeatureMatrix,
-    /// Set by [`EncodedCache::truncate`]: the stored encoder may have been
-    /// fitted on since-dropped rows, so the next [`EncodedCache::sync`] must
-    /// re-check the fit even when the row counts already match.
-    stale_fit: bool,
-}
+/// Exact by construction (see [`IncrementalCache`]): after
+/// [`IncrementalCache::sync`], `encoder()` equals `Encoder::fit(ds)` and
+/// `matrix()` equals `encoder().encode_dataset(ds)` bit for bit.
+pub type EncodedCache = IncrementalCache<Encoder>;
 
 impl EncodedCache {
     /// Fits the encoder to `ds` and encodes every row.
     pub fn fit(ds: &Dataset) -> EncodedCache {
-        let encoder = Encoder::fit(ds);
-        let matrix = encoder.encode_dataset(ds);
-        EncodedCache { encoder, matrix, stale_fit: false }
-    }
-
-    /// Brings the cache in sync with `ds`, whose leading `matrix().n_rows()`
-    /// rows must be unchanged since the last sync (FROTE's loop only ever
-    /// appends). Returns how the cache was updated: [`SyncOutcome::Appended`]
-    /// when the fitted parameters held and only new rows were encoded,
-    /// [`SyncOutcome::Rebuilt`] (with the reason) when a full re-encode was
-    /// required.
-    pub fn sync(&mut self, ds: &Dataset) -> SyncOutcome {
-        let outcome = self.sync_inner(ds);
-        counters().record_sync(&outcome);
-        outcome
-    }
-
-    fn sync_inner(&mut self, ds: &Dataset) -> SyncOutcome {
-        if !self.stale_fit && ds.n_rows() == self.matrix.n_rows() {
-            return SyncOutcome::Unchanged; // even the refit can be skipped
-        }
-        let was_stale = self.stale_fit;
-        self.stale_fit = false;
-        let refit = Encoder::fit(ds);
-        if refit == self.encoder && frote_faults::point("data.cache.encoded.append").is_ok() {
-            let appended = ds.n_rows() - self.matrix.n_rows();
-            self.encoder.encode_append(ds, &mut self.matrix);
-            SyncOutcome::Appended { rows: appended }
-        } else if refit == self.encoder {
-            // An injected fault poisoned the append fast path: degrade to a
-            // full rebuild — bit-identical output, only the cost changes.
-            self.matrix = self.encoder.encode_dataset(ds);
-            SyncOutcome::Rebuilt(RebuildReason::Injected)
-        } else {
-            self.encoder = refit;
-            self.matrix = self.encoder.encode_dataset(ds);
-            SyncOutcome::Rebuilt(if was_stale {
-                RebuildReason::StaleFit
-            } else {
-                RebuildReason::FitChanged
-            })
-        }
-    }
-
-    /// Drops cached encodings past the first `rows` rows (rejecting a
-    /// candidate batch without re-encoding the survivors). The surviving
-    /// rows stay valid — cell encodings depend only on the encoder — but the
-    /// encoder itself may have been refitted on the dropped rows, so the
-    /// next [`EncodedCache::sync`] re-checks the fit.
-    pub fn truncate(&mut self, rows: usize) {
-        if rows < self.matrix.n_rows() {
-            self.stale_fit = true;
-            counters().record_truncate(self.matrix.n_rows() - rows);
-        }
-        self.matrix.truncate_rows(rows);
+        IncrementalCache::new(Encoder::fit(ds), ds)
     }
 
     /// The current encoder fit.
     pub fn encoder(&self) -> &Encoder {
-        &self.encoder
+        &self.fit
     }
 
     /// The encoded rows, one per dataset row as of the last sync.
     pub fn matrix(&self) -> &FeatureMatrix {
-        &self.matrix
+        &self.rows
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::{RebuildReason, SyncOutcome};
     use crate::Schema;
 
     fn demo() -> Dataset {
@@ -379,7 +297,7 @@ mod tests {
         let mut cache = EncodedCache::fit(&ds);
         ds.push_row(&[Value::Cat(1)], 1).unwrap();
         assert_eq!(
-            cache.sync(&ds),
+            cache.sync_unfaulted(&ds),
             SyncOutcome::Appended { rows: 1 },
             "one-hot params never change: append path"
         );
@@ -401,7 +319,7 @@ mod tests {
         });
         assert_eq!(cache.matrix(), &cache.encoder().encode_dataset(&ds));
         ds.push_row(&[Value::Cat(0)], 0).unwrap();
-        assert_eq!(cache.sync(&ds), SyncOutcome::Appended { rows: 1 }, "fault cleared");
+        assert_eq!(cache.sync_unfaulted(&ds), SyncOutcome::Appended { rows: 1 }, "fault cleared");
     }
 
     #[test]
@@ -410,7 +328,7 @@ mod tests {
         let mut cache = EncodedCache::fit(&ds);
         ds.push_row(&[Value::Num(100.0), Value::Cat(0)], 0).unwrap();
         assert_eq!(
-            cache.sync(&ds),
+            cache.sync_unfaulted(&ds),
             SyncOutcome::Rebuilt(RebuildReason::FitChanged),
             "mean/std moved: full re-encode"
         );
@@ -430,7 +348,7 @@ mod tests {
         cache.truncate(1);
         assert_eq!(cache.matrix().n_rows(), 1);
         assert_eq!(
-            cache.sync(&ds),
+            cache.sync_unfaulted(&ds),
             SyncOutcome::Appended { rows: 1 },
             "categorical fit survives the stale-fit re-check: append path"
         );
@@ -448,13 +366,13 @@ mod tests {
         let mut candidate = ds.clone();
         candidate.push_row(&[Value::Num(100.0), Value::Cat(1)], 0).unwrap();
         assert_eq!(
-            cache.sync(&candidate),
+            cache.sync_unfaulted(&candidate),
             SyncOutcome::Rebuilt(RebuildReason::FitChanged),
             "stats moved: full re-encode"
         );
         cache.truncate(ds.n_rows());
         assert_eq!(
-            cache.sync(&ds),
+            cache.sync_unfaulted(&ds),
             SyncOutcome::Rebuilt(RebuildReason::StaleFit),
             "rollback left a fit computed on dropped rows"
         );
@@ -466,7 +384,7 @@ mod tests {
     fn sync_on_unchanged_dataset_is_a_noop() {
         let ds = demo();
         let mut cache = EncodedCache::fit(&ds);
-        assert_eq!(cache.sync(&ds), SyncOutcome::Unchanged);
+        assert_eq!(cache.sync_unfaulted(&ds), SyncOutcome::Unchanged);
     }
 
     #[test]
@@ -482,7 +400,7 @@ mod tests {
         grown.push_row(&[Value::Cat(1)], 1).unwrap();
         let mut cache = EncodedCache::fit(&grown);
         cache.truncate(prefix.n_rows());
-        assert_eq!(cache.sync(&prefix), SyncOutcome::Appended { rows: 0 });
+        assert_eq!(cache.sync_unfaulted(&prefix), SyncOutcome::Appended { rows: 0 });
         assert_eq!(cache.matrix(), &cache.encoder().encode_dataset(&prefix));
     }
 

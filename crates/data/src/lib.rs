@@ -17,9 +17,8 @@
 //!   via [`EncodedCache`]),
 //! - [`binned`] — quantized per-feature bin codes ([`Binner`] /
 //!   [`BinnedMatrix`] / [`BinnedCache`]) for histogram tree training,
-//! - [`sharded`] — the chunked out-of-core data plane ([`ShardedMatrix`] /
-//!   [`ShardedCache`]): fixed-size row shards behind the `FeatureMatrix`
-//!   contract, with bit-exact spill/load to disk,
+//! - [`sync`] — the append-or-rebuild policy both incremental caches share
+//!   ([`IncrementalCache`] over a fitted [`sync::Plane`]),
 //! - [`split`] — deterministic train/test splitting utilities,
 //! - [`csv`] — a small typed CSV reader/writer,
 //! - [`synth`] — schema-matched synthetic generators for the eight UCI
@@ -52,7 +51,6 @@ pub mod encode;
 mod error;
 mod matrix;
 mod schema;
-pub mod sharded;
 pub mod split;
 pub mod stats;
 pub mod sync;
@@ -66,6 +64,5 @@ pub use encode::{EncodedCache, Encoder};
 pub use error::DataError;
 pub use matrix::FeatureMatrix;
 pub use schema::{FeatureMeta, Schema, SchemaBuilder};
-pub use sharded::{ShardIoError, ShardIoOp, ShardedCache, ShardedMatrix};
-pub use sync::{RebuildReason, SyncOutcome};
+pub use sync::{IncrementalCache, RebuildReason, SyncOutcome};
 pub use value::{FeatureKind, Value};

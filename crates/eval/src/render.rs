@@ -1,5 +1,5 @@
 //! Plain-text rendering of tables and series (the bench binaries print
-//! these; EXPERIMENTS.md archives them).
+//! these).
 
 /// Renders an aligned text table.
 ///

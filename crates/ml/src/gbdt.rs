@@ -279,13 +279,17 @@ fn weighted_sum(values: &[f64], weights: Option<&[f64]>, indices: &[usize]) -> f
     }
 }
 
+/// Rows per GOSS sampling stream: `goss_select` draws each row block's
+/// Bernoulli remainder from its own `SeedSplit` stream, so the chosen
+/// subset is a pure function of the gradients, the seed and this block
+/// size — never of `FROTE_THREADS`.
+const GOSS_STREAM_ROWS: usize = 64;
+
 /// GOSS row selection for one `(round, class)` tree: keep the `a·N` rows
 /// with the largest `|gradient|` (ties broken by row index), then sample
-/// `b` of the remaining rows with one `SeedSplit` stream **per shard**
-/// (shard = row ÷ [`frote_data::sharded::shard_rows`]), weighting the
-/// sampled rows by `(1 - a) / b`. Per-shard streams make the selection
-/// independent of `FROTE_THREADS` and reproducible out-of-core; the chosen
-/// subset does depend on the shard size, which the GOSS goldens pin.
+/// `b` of the remaining rows with one `SeedSplit` stream per
+/// [`GOSS_STREAM_ROWS`]-row block, weighting the sampled rows by
+/// `(1 - a) / b`.
 fn goss_select(gradients: &[f64], goss: GossParams, stream: u64) -> (Vec<usize>, Vec<f64>) {
     let n = gradients.len();
     let top_k = ((n as f64) * goss.top_fraction()).round().min(n as f64) as usize;
@@ -299,18 +303,17 @@ fn goss_select(gradients: &[f64], goss: GossParams, stream: u64) -> (Vec<usize>,
         selected[i] = true;
     }
     let amplify = goss.amplify();
-    let shard_rows = frote_data::sharded::shard_rows();
-    let shard_split = SeedSplit::new(SeedSplit::new(goss.seed).seed(stream));
+    let block_split = SeedSplit::new(SeedSplit::new(goss.seed).seed(stream));
     let b = goss.rest_fraction();
-    let mut shard = usize::MAX;
-    let mut rng = shard_split.stream(0);
+    let mut block = usize::MAX;
+    let mut rng = block_split.stream(0);
     for i in 0..n {
         if selected[i] {
             continue;
         }
-        if i / shard_rows != shard {
-            shard = i / shard_rows;
-            rng = shard_split.stream(shard as u64);
+        if i / GOSS_STREAM_ROWS != block {
+            block = i / GOSS_STREAM_ROWS;
+            rng = block_split.stream(block as u64);
         }
         if rng.random::<f64>() < b {
             selected[i] = true;
@@ -765,13 +768,9 @@ mod tests {
         let ds = DatasetKind::Car.generate(&SynthConfig { n_rows: 600, ..Default::default() });
         let params =
             GbdtParams { n_rounds: 12, split_mode: SplitMode::goss(7), ..Default::default() };
-        // `with_threads` outermost, shard pin inside (the documented lock
-        // order); GOSS subsets depend on the shard size, so pin it.
         let fit_at = |threads: usize| {
             frote_par::test_support::with_threads(threads, || {
-                frote_data::sharded::test_support::with_shard_rows(256, || {
-                    Gbdt::fit(&ds, &params).predict_dataset(&ds)
-                })
+                Gbdt::fit(&ds, &params).predict_dataset(&ds)
             })
         };
         let base = fit_at(1);

@@ -16,21 +16,10 @@
 //! order as the exact search and therefore reproduces its decisions node for
 //! node (pinned by `tests/prop_hist_split.rs`).
 //!
-//! # Shard-aware builds
-//!
-//! Class histograms are built per row shard (the
-//! [`frote_data::sharded::shard_rows`] resolver partitions node index lists
-//! into shard runs) and merged in fixed shard order. Class counts are
-//! integers held exactly in `f64`, so the per-shard regrouping is bitwise
-//! identical to the unsharded build at **any** shard size and any
-//! `FROTE_THREADS` (pinned by `tests/prop_sharded.rs`). Gradient histograms
-//! accumulate true `f64` sums, where regrouping would move bits, so
-//! `HistContext::reg_hist` keeps the shard-agnostic fixed `HIST_BLOCK`
-//! reduction — the existing GBDT goldens hold at every
-//! shard size by construction. Wide schemas additionally build
-//! feature-parallel (each parallel task owns a block of features and its
-//! whole bin slice — zero shared writes), which preserves the per-slot
-//! reduction order exactly and is therefore bit-identical too.
+//! Wide schemas additionally build feature-parallel (each parallel task
+//! owns a block of features and its whole bin slice — zero shared writes),
+//! which preserves the per-slot reduction order exactly and is therefore
+//! bit-identical too.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -54,13 +43,11 @@ const FEATURE_PAR_MIN: usize = 16;
 const FEATURE_BLOCK: usize = 8;
 
 // Histogram-plane metrics (see frote-obs). All thread-invariant: node
-// counts, subtraction hits, zeroed-bin totals, and shard merges are
-// functions of the data and the fixed HIST_BLOCK / shard-size chunking,
-// never of the schedule.
+// counts, subtraction hits and zeroed-bin totals are functions of the data
+// and the fixed HIST_BLOCK chunking, never of the schedule.
 static NODES_BUILT: Counter = Counter::new("hist.nodes_built");
 static SIBLING_SUBTRACTIONS: Counter = Counter::new("hist.sibling_subtractions");
 static BINS_ZEROED: Counter = Counter::new("hist.bins_zeroed");
-pub(crate) static SHARD_MERGES: Counter = Counter::new("shard.merged");
 
 /// Default bin budget of [`SplitMode::histogram`]: double the exact search's
 /// per-node threshold cap, and small enough for `u8` codes.
@@ -74,10 +61,10 @@ pub struct GossParams {
     /// Permille (`0..=1000`) of rows kept outright — the largest
     /// `|gradient|` rows (LightGBM's `a`).
     pub top_permille: u16,
-    /// Permille (`0..=1000`) of the *remaining* rows sampled uniformly per
-    /// shard (LightGBM's `b`). Must be positive.
+    /// Permille (`0..=1000`) of the *remaining* rows sampled uniformly
+    /// (LightGBM's `b`). Must be positive.
     pub rest_permille: u16,
-    /// Base seed of the per-shard `SeedSplit` sampling streams.
+    /// Base seed of the per-row-block `SeedSplit` sampling streams.
     pub seed: u64,
 }
 
@@ -123,7 +110,7 @@ pub enum SplitMode {
     },
     /// Histogram search plus GOSS row sampling on the boosting gradient
     /// plane: each round keeps the top `a·N` rows by `|gradient|`, samples
-    /// `b·N` of the rest deterministically per shard, and upweights the
+    /// `b·N` of the rest deterministically per row block, and upweights the
     /// sampled rows by `(1 - a) / b`. Classification trees (which have no
     /// gradients) train exactly like [`SplitMode::Histogram`].
     Goss {
@@ -340,17 +327,7 @@ impl<'a> HistContext<'a> {
         let (offsets, total) = self.candidate_layout(features);
         let size = total * n_classes;
         NODES_BUILT.inc();
-        let runs = frote_data::sharded::shard_runs(indices, frote_data::sharded::shard_rows());
-        let hist = if runs.len() > 1 {
-            // Per-shard partials merged in shard order. Class counts are
-            // exact integers, so regrouping by shard cannot move a bit.
-            self.build_hist_runs(&runs, indices, size, |i, h| {
-                let y = labels[i] as usize;
-                for (p, &f) in features.iter().enumerate() {
-                    h[(offsets[p] + self.codes.code(i, f)) * n_classes + y] += 1.0;
-                }
-            })
-        } else if features.len() >= FEATURE_PAR_MIN && indices.len() > HIST_BLOCK {
+        let hist = if features.len() >= FEATURE_PAR_MIN && indices.len() > HIST_BLOCK {
             let mut starts: Vec<usize> = offsets.iter().map(|o| o * n_classes).collect();
             starts.push(size);
             self.build_hist_featpar(indices, &starts, |i, positions, base, h| {
@@ -461,34 +438,6 @@ impl<'a> HistContext<'a> {
             for (a, p) in acc.iter_mut().zip(&part) {
                 *a += p;
             }
-        }
-        acc
-    }
-
-    /// Shard-order build: one serial partial per shard run (the runs come
-    /// from [`frote_data::sharded::shard_runs`], computed in parallel),
-    /// merged left-to-right in run order with `kernels::add_assign`. Only
-    /// used for integer-count histograms, where the regrouping is exact.
-    fn build_hist_runs(
-        &self,
-        runs: &[(usize, std::ops::Range<usize>)],
-        indices: &[usize],
-        size: usize,
-        accumulate: impl Fn(usize, &mut [f64]) + Sync,
-    ) -> Vec<f64> {
-        let parts = frote_par::par_map(runs, |(_, range)| {
-            BINS_ZEROED.add(size as u64);
-            let mut h = vec![0.0; size];
-            for &i in &indices[range.clone()] {
-                accumulate(i, &mut h);
-            }
-            h
-        });
-        let mut parts = parts.into_iter();
-        let mut acc = parts.next().expect("shard-run build needs at least one run");
-        for part in parts {
-            SHARD_MERGES.inc();
-            crate::kernels::add_assign(&mut acc, &part);
         }
         acc
     }
@@ -915,7 +864,7 @@ mod tests {
     }
 
     #[test]
-    fn class_hist_is_shard_size_invariant() {
+    fn class_hist_is_thread_count_invariant() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let ds = DatasetKind::Adult.generate(&SynthConfig { n_rows: 900, ..Default::default() });
@@ -930,18 +879,11 @@ mod tests {
         let sorted: Vec<usize> = (0..ds.n_rows()).step_by(2).collect();
         for indices in [&bootstrap, &sorted] {
             let baseline = ctx.class_hist(ds.labels(), indices, &features, k);
-            for shard_rows in [64usize, 4096] {
-                for threads in [1usize, 2, 4] {
-                    let sharded = frote_par::test_support::with_threads(threads, || {
-                        frote_data::sharded::test_support::with_shard_rows(shard_rows, || {
-                            ctx.class_hist(ds.labels(), indices, &features, k)
-                        })
-                    });
-                    assert_eq!(
-                        sharded, baseline,
-                        "class hist drifted at shard_rows={shard_rows} threads={threads}"
-                    );
-                }
+            for threads in [1usize, 2, 4] {
+                let par = frote_par::test_support::with_threads(threads, || {
+                    ctx.class_hist(ds.labels(), indices, &features, k)
+                });
+                assert_eq!(par, baseline, "class hist drifted at threads={threads}");
             }
         }
     }

@@ -5,14 +5,6 @@
 //! linear scan with a bounded max-heap is both simple and fast. For large
 //! all-numeric candidate sets, [`crate::balltree::BallTree`] provides a
 //! sublinear alternative.
-//!
-//! When the sharded data plane is active (see [`frote_data::sharded`]),
-//! candidate lists are partitioned into shard runs, each run scanned for a
-//! local top-`k` in parallel, and the locals merged globally. Every
-//! candidate's distance is computed independently and the `(distance,
-//! index)` ordering is total, so the global top-`k` is
-//! selection-order-independent — per-shard results are bitwise identical to
-//! the flat scan at any shard size and thread count.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -20,7 +12,6 @@ use std::collections::BinaryHeap;
 use frote_data::{Dataset, Value};
 
 use crate::distance::MixedDistance;
-use crate::histogram::SHARD_MERGES;
 
 /// One neighbour hit.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,42 +83,11 @@ pub fn k_nearest_of_row(
     scan(candidates, k, i, |chunk, out| dist.mixed_sq_dist_block_rows(ds, i, chunk, out))
 }
 
-/// The shared scan entry: flat bounded-heap scan for a single shard run,
-/// or per-shard local scans merged globally when candidates span shards.
-fn scan(
-    candidates: &[usize],
-    k: usize,
-    exclude: usize,
-    block_sq_dists: impl Fn(&[usize], &mut Vec<f64>) + Sync,
-) -> Vec<Neighbor> {
-    let runs = frote_data::sharded::shard_runs(candidates, frote_data::sharded::shard_rows());
-    if runs.len() <= 1 {
-        return scan_run(candidates, k, exclude, &block_sq_dists);
-    }
-    // Each run's local top-k keeps every candidate that could make the
-    // global top-k; the merge then just re-ranks under the same total
-    // `(distance, index)` order the flat scan uses.
-    let per_run = frote_par::par_map(&runs, |(_, range)| {
-        scan_run(&candidates[range.clone()], k, exclude, &block_sq_dists)
-    });
-    let mut per_run = per_run.into_iter();
-    let mut all = per_run.next().unwrap_or_default();
-    for hits in per_run {
-        SHARD_MERGES.inc();
-        all.extend(hits);
-    }
-    all.sort_by(|a, b| {
-        a.distance.partial_cmp(&b.distance).expect("finite").then_with(|| a.index.cmp(&b.index))
-    });
-    all.truncate(k);
-    all
-}
-
-/// One shard run's bounded-heap scan: squared distances arrive per block
-/// from the mixed-distance kernel, take their square root (so ordering and
-/// ties match the historical per-candidate scan bit for bit), and feed the
+/// The shared bounded-heap scan: squared distances arrive per block from
+/// the mixed-distance kernel, take their square root (so ordering and ties
+/// match the historical per-candidate scan bit for bit), and feed the
 /// max-heap in candidate order.
-fn scan_run(
+fn scan(
     candidates: &[usize],
     k: usize,
     exclude: usize,
@@ -239,25 +199,18 @@ mod tests {
     }
 
     #[test]
-    fn sharded_scan_matches_flat_scan() {
+    fn scan_is_thread_count_invariant() {
         let ds = line_ds(200);
         let dist = MixedDistance::fit(&ds, MixedMetric::SmoteNc);
-        // Unsorted candidates with duplicates across shard boundaries.
+        // Unsorted candidates with duplicates.
         let cands: Vec<usize> = (0..200).rev().chain(0..50).collect();
         for (query, k) in [(0usize, 5), (100, 7), (199, 200)] {
             let flat = k_nearest_of_row(&ds, query, &cands, k, &dist);
-            for shard_rows in [64usize, 4096] {
-                for threads in [1usize, 2, 4] {
-                    let sharded = frote_par::test_support::with_threads(threads, || {
-                        frote_data::sharded::test_support::with_shard_rows(shard_rows, || {
-                            k_nearest_of_row(&ds, query, &cands, k, &dist)
-                        })
-                    });
-                    assert_eq!(
-                        sharded, flat,
-                        "kNN drifted: query={query} k={k} shard_rows={shard_rows} threads={threads}"
-                    );
-                }
+            for threads in [1usize, 2, 4] {
+                let hits = frote_par::test_support::with_threads(threads, || {
+                    k_nearest_of_row(&ds, query, &cands, k, &dist)
+                });
+                assert_eq!(hits, flat, "kNN drifted: query={query} k={k} threads={threads}");
             }
         }
     }

@@ -7,7 +7,7 @@
 //! buffers, in parallel across `frote_par::threads()` threads. Results are
 //! bit-identical to a serial per-row loop at any thread count.
 
-use frote_data::{BinnedCache, Dataset, EncodedCache, ShardedCache, Value};
+use frote_data::{BinnedCache, Dataset, EncodedCache, Value};
 
 /// Rows per parallel block when batch-predicting. Boundaries only affect the
 /// schedule, never the result.
@@ -84,7 +84,6 @@ pub trait Classifier: Send + Sync {
 pub struct TrainCache {
     binned: Option<BinnedCache>,
     encoded: Option<EncodedCache>,
-    sharded: Option<ShardedCache>,
 }
 
 impl TrainCache {
@@ -121,21 +120,6 @@ impl TrainCache {
         self.encoded.as_ref().expect("just filled")
     }
 
-    /// The sharded encoded view of `ds` — the out-of-core twin of
-    /// [`TrainCache::encoded`]: same encoder, same cell values bit for bit
-    /// (`ShardedCache` syncs through the same append/rebuild rules), but
-    /// chunked into [`frote_data::sharded::shard_rows`]-row shards that can
-    /// be individually spilled to disk and reloaded.
-    pub fn sharded(&mut self, ds: &Dataset) -> &ShardedCache {
-        match &mut self.sharded {
-            Some(cache) => {
-                cache.sync(ds);
-            }
-            slot @ None => *slot = Some(ShardedCache::fit(ds)),
-        }
-        self.sharded.as_ref().expect("just filled")
-    }
-
     /// Drops cached rows past the first `rows` (a rejected candidate batch
     /// is un-binned and un-encoded without touching the surviving prefix).
     pub fn truncate(&mut self, rows: usize) {
@@ -143,9 +127,6 @@ impl TrainCache {
             c.truncate(rows);
         }
         if let Some(c) = &mut self.encoded {
-            c.truncate(rows);
-        }
-        if let Some(c) = &mut self.sharded {
             c.truncate(rows);
         }
     }
@@ -241,31 +222,6 @@ mod tests {
             let batch = frote_par::test_support::with_threads(t, || c.predict_dataset(&ds));
             assert_eq!(batch, serial, "FROTE_THREADS={t}");
         }
-    }
-
-    #[test]
-    fn train_cache_sharded_plane_matches_encoded_and_truncates() {
-        let schema = Schema::builder("y", vec!["a".into(), "b".into()]).numeric("x").build();
-        let mut ds = Dataset::new(schema);
-        for i in 0..20 {
-            ds.push_row(&[Value::Num(i as f64)], (i % 2) as u32).unwrap();
-        }
-        let mut cache = TrainCache::new();
-        let encoded = cache.encoded(&ds).matrix().clone();
-        let sharded = cache.sharded(&ds).matrix().to_matrix();
-        assert_eq!(encoded, sharded, "sharded plane must mirror the encoded plane");
-        ds.push_row(&[Value::Num(99.0)], 0).unwrap();
-        cache.sharded(&ds);
-        cache.truncate(20);
-        assert_eq!(cache.sharded(&ds_prefix(&ds, 20)).matrix().n_rows(), 20);
-    }
-
-    fn ds_prefix(ds: &Dataset, rows: usize) -> Dataset {
-        let mut out = Dataset::with_shared_schema(ds.schema_handle());
-        for i in 0..rows {
-            out.push_row(&ds.row(i), ds.label(i)).unwrap();
-        }
-        out
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!     .categorical("marital", vec!["single".into(), "married".into()])
 //!     .build();
 //!
-//! // "IF age < 29 AND marital = single THEN approved = yes"
+//! // "age < 29 AND marital = single => yes"
 //! let rule = FeedbackRule::new(
 //!     Clause::new(vec![
 //!         Predicate::new(0, Op::Lt, Value::Num(29.0)),

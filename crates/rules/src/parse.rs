@@ -166,10 +166,9 @@ mod tests {
         let r = parse_rule("age < 29 AND marital = single AND income > 150 => yes", &s).unwrap();
         assert_eq!(r.clause().len(), 3);
         assert_eq!(r.dist(), &LabelDist::Deterministic(1));
-        assert_eq!(
-            r.display_with(&s).to_string(),
-            "IF age < 29 AND marital = single AND income > 150 THEN approved = yes"
-        );
+        let text = r.display_with(&s).to_string();
+        assert_eq!(text, "age < 29 AND marital = single AND income > 150 => yes");
+        assert_eq!(parse_rule(&text, &s).unwrap(), r);
     }
 
     #[test]

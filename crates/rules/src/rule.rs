@@ -75,16 +75,18 @@ impl FeedbackRule {
         self.dist.validate(schema.n_classes())
     }
 
-    /// Renders with feature/category/class names.
+    /// Renders with feature/category/class names. Deterministic rules print
+    /// in the parser's grammar, `<clause> => <class>`, so
+    /// [`crate::parse::parse_rule`] reads them back; probabilistic rules
+    /// have no parser syntax and print their distribution as
+    /// `<clause> => <label> ~ [<class>: <p>, ...]`.
     pub fn display_with<'a>(&'a self, schema: &'a Schema) -> impl fmt::Display + 'a {
         struct D<'a>(&'a FeedbackRule, &'a Schema);
         impl fmt::Display for D<'_> {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, "IF {} THEN ", self.0.clause.display_with(self.1))?;
+                write!(f, "{} => ", self.0.clause.display_with(self.1))?;
                 match &self.0.dist {
-                    LabelDist::Deterministic(c) => {
-                        write!(f, "{} = {}", self.1.label_name(), self.1.class_name(*c))
-                    }
+                    LabelDist::Deterministic(c) => f.write_str(self.1.class_name(*c)),
                     LabelDist::Probabilistic(p) => {
                         write!(f, "{} ~ [", self.1.label_name())?;
                         for (i, q) in p.iter().enumerate() {
@@ -175,11 +177,11 @@ mod tests {
     #[test]
     fn display_with_names() {
         let s = schema();
-        assert_eq!(rule().display_with(&s).to_string(), "IF age < 29 THEN approved = yes");
+        assert_eq!(rule().display_with(&s).to_string(), "age < 29 => yes");
         let p = FeedbackRule::new(
             Clause::always_true(),
             LabelDist::probabilistic(vec![0.25, 0.75]).unwrap(),
         );
-        assert_eq!(p.display_with(&s).to_string(), "IF TRUE THEN approved ~ [no: 0.25, yes: 0.75]");
+        assert_eq!(p.display_with(&s).to_string(), "TRUE => approved ~ [no: 0.25, yes: 0.75]");
     }
 }

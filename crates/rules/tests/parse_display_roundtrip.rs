@@ -19,17 +19,6 @@ fn schema() -> Schema {
         .build()
 }
 
-/// Renders `rule` in the parser's grammar (`clause => class`); the
-/// `display_with` form wraps the clause in `IF ... THEN`, which is for
-/// humans, so only the clause part is reused verbatim.
-fn to_parseable(rule: &FeedbackRule, s: &Schema) -> String {
-    let class = match rule.dist().clone() {
-        frote_rules::LabelDist::Deterministic(c) => c,
-        other => panic!("only deterministic rules are textual: {other:?}"),
-    };
-    format!("{} => {}", rule.clause().display_with(s), s.class_name(class))
-}
-
 fn random_predicate(rng: &mut StdRng) -> Predicate {
     if rng.random_bool(0.5) {
         // Numeric: features 0-1, any comparison operator, "ugly" floats.
@@ -60,7 +49,7 @@ fn random_rules_round_trip() {
         let class = rng.random_range(0..3u32);
         let rule = FeedbackRule::deterministic(clause, class);
         rule.validate(&s).expect("generated rules are valid");
-        let text = to_parseable(&rule, &s);
+        let text = rule.display_with(&s).to_string();
         let back = parse_rule(&text, &s).unwrap_or_else(|e| panic!("case {case}: `{text}`: {e}"));
         assert_eq!(back, rule, "case {case}: `{text}`");
     }

@@ -194,7 +194,12 @@ pub fn write_request<W: Write>(
     path: &str,
     body: &str,
 ) -> Result<(), ServeError> {
-    write!(writer, "{method} {path} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len(),)?;
+    let request =
+        format!("{method} {path} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len());
+    // One write call: when the server has already answered and closed (a
+    // shed `503`), the RST our first bytes provoke would fail any later
+    // write before the answer waiting in the receive buffer is read.
+    writer.write_all(request.as_bytes())?;
     writer.flush()?;
     Ok(())
 }

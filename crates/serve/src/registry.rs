@@ -14,15 +14,15 @@
 //! request rate.
 //!
 //! The swap guarantee the integration tests pin: a reader observes either
-//! the old snapshot or the new one, never a mix — model, encoder, binner,
-//! and guard travel in one `Snapshot`, and the batcher resolves
+//! the old snapshot or the new one, never a mix — model, schema and guard
+//! travel in one `Snapshot`, and the batcher resolves
 //! [`ModelEntry::current`] exactly once per micro-batch.
 
 use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use frote::{Frote, FroteConfig};
-use frote_data::{Binner, Dataset, Encoder, Schema};
+use frote_data::{Dataset, Schema};
 use frote_ml::{Classifier, TrainAlgorithm};
 use frote_obs::Counter;
 use frote_rules::parse::parse_rule;
@@ -42,37 +42,30 @@ static SWAPS: Counter = Counter::new("serve.swaps");
 /// retried publishes make the count timing-dependent.
 static PUBLISH_FAILURES: Counter = Counter::thread_variant("serve.publish_failures");
 
-/// Bin budget for the registry's quantized view of the training data.
-pub const SERVE_BINS: usize = 256;
-
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Everything a scorer needs, versioned as one immutable unit: the fitted
-/// model, its [`Encoder`] / [`Binner`], the schema, and the boundary guard.
+/// model, the schema, and the boundary guard.
 pub struct Snapshot {
     generation: u64,
     model: Box<dyn Classifier>,
     schema: Arc<Schema>,
-    encoder: Encoder,
-    binner: Binner,
     guard: RowGuard,
     /// Rows of the dataset the model was fitted on (surfaced by `/models`).
     fit_rows: usize,
 }
 
 impl Snapshot {
-    /// Fits a snapshot: trains `trainer` on `ds` and captures the encoder,
-    /// binner, and `guard` alongside the model. The generation is assigned
-    /// at publish time.
+    /// Fits a snapshot: trains `trainer` on `ds` and captures the schema and
+    /// `guard` alongside the model. The generation is assigned at publish
+    /// time.
     pub fn fit(trainer: &dyn TrainAlgorithm, ds: &Dataset, guard: RowGuard) -> Snapshot {
         Snapshot {
             generation: 0,
             model: trainer.train(ds),
             schema: ds.schema_handle(),
-            encoder: Encoder::fit(ds),
-            binner: Binner::fit(ds, SERVE_BINS),
             guard,
             fit_rows: ds.n_rows(),
         }
@@ -92,16 +85,6 @@ impl Snapshot {
     /// The schema requests are validated against.
     pub fn schema(&self) -> &Arc<Schema> {
         &self.schema
-    }
-
-    /// The encoder fitted alongside the model.
-    pub fn encoder(&self) -> &Encoder {
-        &self.encoder
-    }
-
-    /// The quantizer fitted alongside the model.
-    pub fn binner(&self) -> &Binner {
-        &self.binner
     }
 
     /// The boundary guard requests are swept through.

@@ -43,8 +43,8 @@
 //! connections, and the batcher answers everything it queued.
 
 use std::collections::VecDeque;
-use std::io::{BufReader, ErrorKind};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, ErrorKind, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -267,6 +267,14 @@ impl Server {
         SHED_CONNECTIONS.inc();
         let body = format!("{}\n", ServeError::Overloaded);
         let _ = write_response_ext(&mut stream, 503, &body, false, Some(RETRY_AFTER_SECS));
+        // Closing with unread request bytes makes the kernel answer with a
+        // RST, which can destroy the 503 before the peer reads it. Drain
+        // what has already arrived, without ever blocking the acceptor.
+        let _ = stream.shutdown(Shutdown::Write);
+        if stream.set_nonblocking(true).is_ok() {
+            let mut sink = [0u8; 1024];
+            while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
+        }
     }
 
     /// One pool worker: pop a connection, serve a slice, requeue or close.

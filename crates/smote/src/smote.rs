@@ -258,24 +258,17 @@ mod tests {
     }
 
     #[test]
-    fn generation_is_shard_size_and_thread_invariant() {
-        // The per-shard kNN scans under the generator must not move a bit:
-        // synthetic rows are identical at any shard size × thread count.
+    fn generation_is_thread_invariant() {
+        // The kNN scans under the generator must not move a bit: synthetic
+        // rows are identical at any thread count.
         let ds = numeric_ds();
         let s = Smote::new(SmoteParams::default());
         let baseline = s.generate(&ds, 1, 40, &mut StdRng::seed_from_u64(9)).unwrap();
-        for shard_rows in [4usize, 64] {
-            for threads in [1usize, 2, 4] {
-                let out = frote_par::test_support::with_threads(threads, || {
-                    frote_data::sharded::test_support::with_shard_rows(shard_rows, || {
-                        s.generate(&ds, 1, 40, &mut StdRng::seed_from_u64(9)).unwrap()
-                    })
-                });
-                assert_eq!(
-                    out, baseline,
-                    "SMOTE drifted at shard_rows={shard_rows} threads={threads}"
-                );
-            }
+        for threads in [1usize, 2, 4] {
+            let out = frote_par::test_support::with_threads(threads, || {
+                s.generate(&ds, 1, 40, &mut StdRng::seed_from_u64(9)).unwrap()
+            });
+            assert_eq!(out, baseline, "SMOTE drifted at threads={threads}");
         }
     }
 

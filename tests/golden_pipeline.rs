@@ -116,10 +116,8 @@ fn run_hist_numeric() -> u64 {
 }
 
 /// GOSS-mode GBDT training pinned end to end: the per-round row subsets
-/// come from per-shard `SeedSplit` streams, so the fit depends on the
-/// shard size — the run pins `FROTE_SHARD_ROWS=64` explicitly (the env
-/// binding outranks any process override, including the CI shard-matrix
-/// leg's) and must then be bit-identical at any thread count.
+/// come from per-row-block `SeedSplit` streams, so the fit must be
+/// bit-identical at any thread count.
 fn run_goss() -> u64 {
     use frote_ml::gbdt::{Gbdt, GbdtParams};
     let ds = DatasetKind::WineQuality.generate(&SynthConfig { n_rows: 250, ..Default::default() });
@@ -128,7 +126,7 @@ fn run_goss() -> u64 {
         split_mode: SplitMode::parse("goss:16:300:200:11").expect("valid goss spec"),
         ..Default::default()
     };
-    let model = frote_data::sharded::test_support::with_shard_rows(64, || Gbdt::fit(&ds, &params));
+    let model = Gbdt::fit(&ds, &params);
     fnv1a(format!("{:?}", model.predict_dataset(&ds)).as_bytes())
 }
 

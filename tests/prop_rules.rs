@@ -190,13 +190,7 @@ proptest! {
         let rule = FeedbackRule::deterministic(clause, class);
         prop_assume!(rule.validate(&s).is_ok());
         let text = rule.display_with(&s).to_string();
-        let body = text.strip_prefix("IF ").unwrap();
-        let (clause_text, rest) = body.split_once(" THEN ").unwrap();
-        let class_name = rest.rsplit(" = ").next().unwrap();
-        let rebuilt = frote_rules::parse::parse_rule(
-            &format!("{clause_text} => {class_name}"),
-            &s,
-        ).unwrap();
+        let rebuilt = frote_rules::parse::parse_rule(&text, &s).unwrap();
         prop_assert_eq!(rebuilt.clause().coverage_count(&demo_probe(&s)),
             rule.clause().coverage_count(&demo_probe(&s)));
         prop_assert_eq!(rebuilt.dist(), rule.dist());
