@@ -479,9 +479,9 @@ fn main() {
     }
 
     // 6. Tree training in exact vs histogram split mode, on a numeric-heavy
-    // table where the exact search's per-node sorts dominate. The serial
-    // legs feed the mode comparison; the serial/parallel pair of each mode
-    // additionally pins the histogram engine's thread-determinism.
+    // table where the exact search's per-node row ordering dominates. The
+    // serial legs feed the mode comparison; the serial/parallel pair of each
+    // mode additionally pins the histogram engine's thread-determinism.
     let fit_ds =
         DatasetKind::WineQuality.generate(&SynthConfig { n_rows: 6000, ..Default::default() });
     let dt_fit = |mode: SplitMode| {

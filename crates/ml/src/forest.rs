@@ -9,6 +9,7 @@ use frote_par::SeedSplit;
 
 #[allow(unused_imports)] // doc links
 use crate::histogram::SplitMode;
+use crate::rank::RankTable;
 use crate::traits::{Classifier, TrainAlgorithm, TrainCache};
 use crate::tree::{DecisionTree, TreeParams};
 
@@ -36,8 +37,10 @@ pub struct RandomForest {
 }
 
 impl RandomForest {
-    /// Fits a forest on `ds`. In [`SplitMode::Histogram`] the dataset is
-    /// quantized once and every tree trains over the shared codes.
+    /// Fits a forest on `ds`. The exact search ranks the numeric columns
+    /// once and every tree sorts its nodes by the shared ranks; in
+    /// [`SplitMode::Histogram`] the dataset is quantized once and every
+    /// tree trains over the shared codes.
     ///
     /// # Panics
     ///
@@ -87,12 +90,16 @@ impl RandomForest {
         // seed, so trees can be fitted in parallel while the ensemble stays
         // bit-identical at any `FROTE_THREADS`.
         let split = SeedSplit::new(seed);
+        let ranks = binned.is_none().then(|| RankTable::new(ds));
         let tree_ids: Vec<u64> = (0..params.n_trees as u64).collect();
         let trees = frote_par::par_map(&tree_ids, |&t| {
             let mut rng = split.stream(t);
             let sample = ds.bootstrap_indices(ds.n_rows(), &mut rng);
             match binned {
-                None => DecisionTree::fit(ds, &sample, &tree_params, &mut rng),
+                None => {
+                    let ranks = ranks.as_ref().expect("exact fits build a rank table");
+                    DecisionTree::fit_ranked(ds, ranks, &sample, &tree_params, &mut rng)
+                }
                 Some((binner, codes)) => {
                     DecisionTree::fit_hist(ds, binner, codes, &sample, &tree_params, &mut rng)
                 }

@@ -6,7 +6,9 @@
 //! additive-model formulation LightGBM uses. [`SplitMode::Histogram`] opts
 //! into LightGBM's histogram engineering too: the dataset is quantized once
 //! per fit and every tree of every round searches splits over gradient
-//! histograms (see [`crate::histogram`]) instead of per-node sorts.
+//! histograms (see [`crate::histogram`]). The default exact search ranks
+//! each numeric column once per fit and orders every node's rows by a
+//! stable counting sort on those ranks (the `rank` module).
 
 use frote_data::{BinnedCache, BinnedMatrix, Binner, Column, Dataset, FeatureMatrix, Value};
 use frote_par::SeedSplit;
@@ -14,8 +16,9 @@ use rand::Rng;
 
 use crate::histogram::{GossParams, HistContext, SplitMode};
 use crate::kernels;
+use crate::rank::RankTable;
 use crate::traits::{argmax, Classifier, TrainAlgorithm, TrainCache, PREDICT_BLOCK};
-use crate::tree::SplitTest;
+use crate::tree::{categorical, partition_in_place, SplitTest};
 
 /// GBDT hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,8 +31,8 @@ pub struct GbdtParams {
     pub max_depth: usize,
     /// Minimum rows per leaf.
     pub min_samples_leaf: usize,
-    /// How splits are searched: exact per-node sorts (default) or the
-    /// quantized histogram engine.
+    /// How splits are searched: exact (default; per-fit value ranks and a
+    /// counting sort per node) or the quantized histogram engine.
     pub split_mode: SplitMode,
 }
 
@@ -60,22 +63,26 @@ struct RegressionTree {
 
 impl RegressionTree {
     /// Fits on rows `indices` of `ds` with per-row `targets` (residuals) and
-    /// `hessians` (for Newton leaf values), both indexed by *dataset row*.
+    /// `hessians` (for Newton leaf values), both indexed by *dataset row*;
+    /// `ranks` is the fit's rank table of `ds`.
     fn fit(
         ds: &Dataset,
+        ranks: &RankTable,
         indices: &mut [usize],
         targets: &[f64],
         hessians: &[f64],
         params: &GbdtParams,
     ) -> Self {
         let mut tree = RegressionTree { nodes: Vec::new() };
-        tree.grow(ds, indices, targets, hessians, 0, params);
+        tree.grow(ds, ranks, indices, targets, hessians, 0, params);
         tree
     }
 
+    #[allow(clippy::too_many_arguments)] // `fit`'s inputs plus the depth
     fn grow(
         &mut self,
         ds: &Dataset,
+        ranks: &RankTable,
         indices: &mut [usize],
         targets: &[f64],
         hessians: &[f64],
@@ -87,28 +94,14 @@ impl RegressionTree {
                 .push(RegNode::Leaf { value: newton_value(indices, targets, hessians, None) });
             return self.nodes.len() - 1;
         }
-        match best_regression_split(ds, indices, targets, params.min_samples_leaf) {
+        match best_regression_split(ds, ranks, indices, targets, params.min_samples_leaf) {
             None => {
                 self.nodes
                     .push(RegNode::Leaf { value: newton_value(indices, targets, hessians, None) });
                 self.nodes.len() - 1
             }
-            Some(test) => {
-                let mut mid = 0;
-                for i in 0..indices.len() {
-                    let goes_left = match test {
-                        SplitTest::NumLe { feature, threshold } => {
-                            ds.value(indices[i], feature).expect_num() <= threshold
-                        }
-                        SplitTest::CatEq { feature, category } => {
-                            ds.value(indices[i], feature).expect_cat() == category
-                        }
-                    };
-                    if goes_left {
-                        indices.swap(i, mid);
-                        mid += 1;
-                    }
-                }
+            Some((_, test)) => {
+                let mid = partition_in_place(ds, indices, &test);
                 if mid == 0 || mid == indices.len() {
                     self.nodes.push(RegNode::Leaf {
                         value: newton_value(indices, targets, hessians, None),
@@ -116,8 +109,8 @@ impl RegressionTree {
                     return self.nodes.len() - 1;
                 }
                 let (li, ri) = indices.split_at_mut(mid);
-                let left = self.grow(ds, li, targets, hessians, depth + 1, params);
-                let right = self.grow(ds, ri, targets, hessians, depth + 1, params);
+                let left = self.grow(ds, ranks, li, targets, hessians, depth + 1, params);
+                let right = self.grow(ds, ranks, ri, targets, hessians, depth + 1, params);
                 self.nodes.push(RegNode::Split { test, left, right });
                 self.nodes.len() - 1
             }
@@ -325,26 +318,28 @@ fn goss_select(gradients: &[f64], goss: GossParams, stream: u64) -> (Vec<usize>,
 }
 
 /// Variance-reduction split search (numeric `<=` and categorical one-vs-rest,
-/// as in the classification tree).
+/// as in the classification tree): the best split with its score, if it
+/// beats not splitting.
 fn best_regression_split(
     ds: &Dataset,
+    ranks: &RankTable,
     indices: &[usize],
     targets: &[f64],
     min_leaf: usize,
-) -> Option<SplitTest> {
+) -> Option<(f64, SplitTest)> {
     let n = indices.len() as f64;
     let total = kernels::gather_sum(targets, indices);
     let mut best: Option<(f64, SplitTest)> = None;
     for f in 0..ds.n_features() {
         match ds.column(f) {
-            Column::Numeric(_) => {
-                let mut pairs: Vec<(f64, f64)> =
-                    indices.iter().map(|&i| (ds.value(i, f).expect_num(), targets[i])).collect();
-                pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
+            Column::Numeric(x) => {
+                let sorted = ranks.sort_rows(f, indices);
+                let m = sorted.len();
                 let mut left_sum = 0.0;
-                for b in 1..pairs.len() {
-                    left_sum += pairs[b - 1].1;
-                    if pairs[b].0 <= pairs[b - 1].0 || b < min_leaf || pairs.len() - b < min_leaf {
+                for b in 1..m {
+                    let (lo, hi) = (sorted[b - 1], sorted[b]);
+                    left_sum += targets[lo];
+                    if x[hi] <= x[lo] || b < min_leaf || m - b < min_leaf {
                         continue;
                     }
                     // Maximizing sum-of-squares gain == minimizing SSE.
@@ -352,7 +347,7 @@ fn best_regression_split(
                     let score =
                         left_sum * left_sum / b as f64 + right_sum * right_sum / (n - b as f64);
                     if best.as_ref().is_none_or(|(s, _)| score > *s) {
-                        let threshold = 0.5 * (pairs[b - 1].0 + pairs[b].0);
+                        let threshold = 0.5 * (x[lo] + x[hi]);
                         best = Some((score, SplitTest::NumLe { feature: f, threshold }));
                     }
                 }
@@ -366,8 +361,9 @@ fn best_regression_split(
                     .expect("categorical has cardinality");
                 let mut sums = vec![0.0; card];
                 let mut counts = vec![0usize; card];
+                let x = categorical(ds, f);
                 for &i in indices {
-                    let c = ds.value(i, f).expect_cat() as usize;
+                    let c = x[i] as usize;
                     sums[c] += targets[i];
                     counts[c] += 1;
                 }
@@ -387,7 +383,7 @@ fn best_regression_split(
     }
     // Require real improvement over the no-split score.
     let base = total * total / n;
-    best.filter(|(s, _)| *s > base + 1e-9).map(|(_, t)| t)
+    best.filter(|(s, _)| *s > base + 1e-9)
 }
 
 /// A trained gradient-boosted model.
@@ -440,6 +436,9 @@ impl Gbdt {
     ) -> Self {
         assert!(!ds.is_empty(), "cannot train on an empty dataset");
         let ctx = binned.map(|(binner, codes)| HistContext::new(binner, codes));
+        // Exact fits rank every numeric column once; all the fit's trees
+        // share the table.
+        let ranks = ctx.is_none().then(|| RankTable::new(ds));
         let goss = match params.split_mode {
             SplitMode::Goss { goss, .. } => Some(goss),
             _ => None,
@@ -498,8 +497,16 @@ impl Gbdt {
                         )
                     }
                     (None, _) => {
+                        let ranks = ranks.as_ref().expect("exact fits build a rank table");
                         let mut idx: Vec<usize> = (0..n).collect();
-                        RegressionTree::fit(ds, &mut idx, residuals.row(c), hessians.row(c), params)
+                        RegressionTree::fit(
+                            ds,
+                            ranks,
+                            &mut idx,
+                            residuals.row(c),
+                            hessians.row(c),
+                            params,
+                        )
                     }
                 }
             });
@@ -549,15 +556,7 @@ impl RegressionTree {
             match &self.nodes[node] {
                 RegNode::Leaf { value } => return *value,
                 RegNode::Split { test, left, right } => {
-                    let goes_left = match *test {
-                        SplitTest::NumLe { feature, threshold } => {
-                            ds.value(i, feature).expect_num() <= threshold
-                        }
-                        SplitTest::CatEq { feature, category } => {
-                            ds.value(i, feature).expect_cat() == category
-                        }
-                    };
-                    node = if goes_left { *left } else { *right };
+                    node = if test.goes_left_in(ds, i) { *left } else { *right };
                 }
             }
         }
@@ -646,6 +645,7 @@ impl TrainAlgorithm for GbdtTrainer {
 mod tests {
     use super::*;
     use crate::metrics::accuracy;
+    use crate::rank::test_support::arb_node;
     use frote_data::synth::{DatasetKind, SynthConfig};
     use frote_data::Schema;
 
@@ -779,6 +779,106 @@ mod tests {
         }
         let acc = accuracy(&base, ds.labels());
         assert!(acc > 0.7, "GOSS accuracy {acc}");
+    }
+
+    /// The per-node comparison-sort search the rank table replaced, kept
+    /// verbatim (bar returning the score too) as the oracle for
+    /// [`best_regression_split`].
+    fn sorted_best_regression_split(
+        ds: &Dataset,
+        indices: &[usize],
+        targets: &[f64],
+        min_leaf: usize,
+    ) -> Option<(f64, SplitTest)> {
+        let n = indices.len() as f64;
+        let total = kernels::gather_sum(targets, indices);
+        let mut best: Option<(f64, SplitTest)> = None;
+        for f in 0..ds.n_features() {
+            match ds.column(f) {
+                Column::Numeric(_) => {
+                    let mut pairs: Vec<(f64, f64)> = indices
+                        .iter()
+                        .map(|&i| (ds.value(i, f).expect_num(), targets[i]))
+                        .collect();
+                    pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
+                    let mut left_sum = 0.0;
+                    for b in 1..pairs.len() {
+                        left_sum += pairs[b - 1].1;
+                        if pairs[b].0 <= pairs[b - 1].0
+                            || b < min_leaf
+                            || pairs.len() - b < min_leaf
+                        {
+                            continue;
+                        }
+                        let right_sum = total - left_sum;
+                        let score =
+                            left_sum * left_sum / b as f64 + right_sum * right_sum / (n - b as f64);
+                        if best.as_ref().is_none_or(|(s, _)| score > *s) {
+                            let threshold = 0.5 * (pairs[b - 1].0 + pairs[b].0);
+                            best = Some((score, SplitTest::NumLe { feature: f, threshold }));
+                        }
+                    }
+                }
+                Column::Categorical(_) => {
+                    let card = ds
+                        .schema()
+                        .feature(f)
+                        .kind()
+                        .cardinality()
+                        .expect("categorical has cardinality");
+                    let mut sums = vec![0.0; card];
+                    let mut counts = vec![0usize; card];
+                    for &i in indices {
+                        let c = ds.value(i, f).expect_cat() as usize;
+                        sums[c] += targets[i];
+                        counts[c] += 1;
+                    }
+                    for c in 0..card {
+                        if counts[c] < min_leaf || indices.len() - counts[c] < min_leaf {
+                            continue;
+                        }
+                        let right_sum = total - sums[c];
+                        let score = sums[c] * sums[c] / counts[c] as f64
+                            + right_sum * right_sum / (n - counts[c] as f64);
+                        if best.as_ref().is_none_or(|(s, _)| score > *s) {
+                            best =
+                                Some((score, SplitTest::CatEq { feature: f, category: c as u32 }));
+                        }
+                    }
+                }
+            }
+        }
+        let base = total * total / n;
+        best.filter(|(s, _)| *s > base + 1e-9)
+    }
+
+    /// A scored split as bits: `SplitTest`'s `PartialEq` has `-0.0 == 0.0`,
+    /// and the score's bits pin the order `left_sum` added the targets in.
+    fn split_bits(split: Option<(f64, SplitTest)>) -> Option<(u64, usize, u64)> {
+        split.map(|(score, test)| match test {
+            SplitTest::NumLe { feature, threshold } => {
+                (score.to_bits(), feature, threshold.to_bits())
+            }
+            SplitTest::CatEq { feature, category } => {
+                (score.to_bits(), feature, u64::from(category))
+            }
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The counting-sort search picks the comparison sort's split, bit
+        /// for bit, on ties, signed zeros, constant columns, bootstrap
+        /// repeats and partition-permuted node orders, with targets whose
+        /// sums depend on the order they are added in.
+        #[test]
+        fn regression_split_matches_the_sort_oracle(node in arb_node(), min_leaf in 1usize..6) {
+            let ranks = RankTable::new(&node.ds);
+            let got = best_regression_split(&node.ds, &ranks, &node.rows, &node.targets, min_leaf);
+            let want = sorted_best_regression_split(&node.ds, &node.rows, &node.targets, min_leaf);
+            assert_eq!(split_bits(got), split_bits(want));
+        }
     }
 
     #[test]

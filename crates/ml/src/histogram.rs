@@ -99,8 +99,10 @@ impl GossParams {
 /// How tree trainers search for splits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SplitMode {
-    /// Per-node sorts of raw values with quantile-thinned thresholds — the
-    /// seed behaviour, and the default (golden pins depend on it).
+    /// Raw-value search with quantile-thinned thresholds: each numeric
+    /// column is ranked once per fit and every node orders its rows by a
+    /// stable counting sort on those ranks. The seed behaviour, bit for
+    /// bit, and the default (golden pins depend on it).
     #[default]
     Exact,
     /// Quantized histogram search over a shared [`BinnedMatrix`].

@@ -47,6 +47,7 @@ pub mod knn;
 pub mod logreg;
 pub mod metrics;
 pub mod naive_bayes;
+mod rank;
 mod traits;
 pub mod tree;
 pub mod validate;

@@ -6,8 +6,10 @@
 //! [`crate::forest`] (with per-node feature subsampling) and
 //! [`crate::gbdt`] (a regression variant lives there).
 //!
-//! Two split searches share this node structure: the exact per-node sort
-//! ([`DecisionTree::fit`], the default) and the quantized histogram search
+//! Two split searches share this node structure: the exact search
+//! ([`DecisionTree::fit`], the default), which ranks each numeric column
+//! once per fit and orders every node's rows by a stable counting sort on
+//! those ranks (the `rank` module), and the quantized histogram search
 //! ([`DecisionTree::fit_hist`], opt-in via [`SplitMode::Histogram`] on
 //! [`TreeParams`]) — see [`crate::histogram`].
 
@@ -17,6 +19,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::histogram::{gini, HistContext, SplitMode};
+use crate::rank::RankTable;
 use crate::traits::{argmax, Classifier, TrainAlgorithm, TrainCache};
 
 /// Maximum number of candidate thresholds evaluated per numeric feature per
@@ -36,8 +39,8 @@ pub struct TreeParams {
     pub min_samples_leaf: usize,
     /// Number of features sampled per node (`None` = all features).
     pub max_features: Option<usize>,
-    /// How splits are searched: exact per-node sorts (default) or the
-    /// quantized histogram engine.
+    /// How splits are searched: exact (default; per-fit value ranks and a
+    /// counting sort per node) or the quantized histogram engine.
     pub split_mode: SplitMode,
 }
 
@@ -82,7 +85,7 @@ impl SplitTest {
         }
     }
 
-    fn goes_left_in(&self, ds: &Dataset, i: usize) -> bool {
+    pub(crate) fn goes_left_in(&self, ds: &Dataset, i: usize) -> bool {
         match *self {
             SplitTest::NumLe { feature, threshold } => {
                 ds.value(i, feature).expect_num() <= threshold
@@ -127,6 +130,18 @@ impl DecisionTree {
     ///
     /// Panics if `indices` is empty.
     pub fn fit(ds: &Dataset, indices: &[usize], params: &TreeParams, rng: &mut StdRng) -> Self {
+        Self::fit_ranked(ds, &RankTable::new(ds), indices, params, rng)
+    }
+
+    /// [`DecisionTree::fit`] over a caller-built rank table of `ds`, so a
+    /// forest ranks its columns once for all its trees.
+    pub(crate) fn fit_ranked(
+        ds: &Dataset,
+        ranks: &RankTable,
+        indices: &[usize],
+        params: &TreeParams,
+        rng: &mut StdRng,
+    ) -> Self {
         assert!(!indices.is_empty(), "cannot fit a tree on zero rows");
         let mut tree = DecisionTree {
             nodes: Vec::new(),
@@ -134,7 +149,7 @@ impl DecisionTree {
             n_features: ds.n_features(),
         };
         let mut idx = indices.to_vec();
-        tree.grow(ds, &mut idx, 0, params, rng);
+        tree.grow(ds, ranks, &mut idx, 0, params, rng);
         tree
     }
 
@@ -191,6 +206,7 @@ impl DecisionTree {
     fn grow(
         &mut self,
         ds: &Dataset,
+        ranks: &RankTable,
         indices: &mut [usize],
         depth: usize,
         params: &TreeParams,
@@ -203,7 +219,8 @@ impl DecisionTree {
             return self.nodes.len() - 1;
         }
         let features = self.candidate_features(params, rng);
-        let best = find_best_split(ds, indices, &features, self.n_classes, params.min_samples_leaf);
+        let best =
+            find_best_split(ds, ranks, indices, &features, self.n_classes, params.min_samples_leaf);
         match best {
             None => {
                 self.nodes.push(Node::Leaf { dist });
@@ -217,8 +234,8 @@ impl DecisionTree {
                     return self.nodes.len() - 1;
                 }
                 let (left_idx, right_idx) = indices.split_at_mut(mid);
-                let left = self.grow(ds, left_idx, depth + 1, params, rng);
-                let right = self.grow(ds, right_idx, depth + 1, params, rng);
+                let left = self.grow(ds, ranks, left_idx, depth + 1, params, rng);
+                let right = self.grow(ds, ranks, right_idx, depth + 1, params, rng);
                 self.nodes.push(Node::Split { test, left, right });
                 self.nodes.len() - 1
             }
@@ -454,10 +471,26 @@ pub(crate) fn class_distribution(ds: &Dataset, indices: &[usize], n_classes: usi
     counts
 }
 
-fn partition_in_place(ds: &Dataset, indices: &mut [usize], test: &SplitTest) -> usize {
+/// Moves the rows `test` sends left to the front of `indices` and returns
+/// how many there are. Lomuto-style: the left rows keep their order, the
+/// right rows come out permuted.
+pub(crate) fn partition_in_place(ds: &Dataset, indices: &mut [usize], test: &SplitTest) -> usize {
+    match *test {
+        SplitTest::NumLe { feature, threshold } => {
+            let x = numeric(ds, feature);
+            partition_by(indices, |i| x[i] <= threshold)
+        }
+        SplitTest::CatEq { feature, category } => {
+            let x = categorical(ds, feature);
+            partition_by(indices, |i| x[i] == category)
+        }
+    }
+}
+
+fn partition_by(indices: &mut [usize], goes_left: impl Fn(usize) -> bool) -> usize {
     let mut mid = 0;
     for i in 0..indices.len() {
-        if test.goes_left_in(ds, indices[i]) {
+        if goes_left(indices[i]) {
             indices.swap(i, mid);
             mid += 1;
         }
@@ -465,10 +498,21 @@ fn partition_in_place(ds: &Dataset, indices: &mut [usize], test: &SplitTest) -> 
     mid
 }
 
+/// The cells of numeric feature `f`.
+pub(crate) fn numeric(ds: &Dataset, f: usize) -> &[f64] {
+    ds.column(f).as_numeric().expect("numeric feature")
+}
+
+/// The cells of categorical feature `f`.
+pub(crate) fn categorical(ds: &Dataset, f: usize) -> &[u32] {
+    ds.column(f).as_categorical().expect("categorical feature")
+}
+
 /// Finds the Gini-optimal split over `features`, or `None` if no split
 /// improves impurity while respecting `min_leaf`.
 fn find_best_split(
     ds: &Dataset,
+    ranks: &RankTable,
     indices: &[usize],
     features: &[usize],
     n_classes: usize,
@@ -484,7 +528,7 @@ fn find_best_split(
     for &f in features {
         let candidate = match ds.column(f) {
             Column::Numeric(_) => {
-                best_numeric_split(ds, indices, f, &parent_counts, n_classes, min_leaf)
+                best_numeric_split(ds, ranks, indices, f, &parent_counts, n_classes, min_leaf)
             }
             Column::Categorical(_) => {
                 best_categorical_split(ds, indices, f, &parent_counts, n_classes, min_leaf)
@@ -502,19 +546,20 @@ fn find_best_split(
 
 fn best_numeric_split(
     ds: &Dataset,
+    ranks: &RankTable,
     indices: &[usize],
     feature: usize,
     parent_counts: &[f64],
     n_classes: usize,
     min_leaf: usize,
 ) -> Option<(f64, SplitTest)> {
-    let mut pairs: Vec<(f64, u32)> =
-        indices.iter().map(|&i| (ds.value(i, feature).expect_num(), ds.label(i))).collect();
-    pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite feature values"));
-    let n = pairs.len();
+    let x = numeric(ds, feature);
+    let labels = ds.labels();
+    let sorted = ranks.sort_rows(feature, indices);
+    let n = sorted.len();
     // Candidate cut positions: boundaries between distinct values, thinned to
     // at most MAX_THRESHOLDS quantile positions.
-    let mut boundaries: Vec<usize> = (1..n).filter(|&i| pairs[i].0 > pairs[i - 1].0).collect();
+    let mut boundaries: Vec<usize> = (1..n).filter(|&i| x[sorted[i]] > x[sorted[i - 1]]).collect();
     if boundaries.is_empty() {
         return None;
     }
@@ -528,7 +573,7 @@ fn best_numeric_split(
     let mut best: Option<(f64, SplitTest)> = None;
     for &b in &boundaries {
         while cursor < b {
-            left_counts[pairs[cursor].1 as usize] += 1.0;
+            left_counts[labels[sorted[cursor]] as usize] += 1.0;
             cursor += 1;
         }
         if b < min_leaf || n - b < min_leaf {
@@ -542,7 +587,7 @@ fn best_numeric_split(
             + right_total * gini(&right_counts, right_total))
             / n as f64;
         if best.as_ref().is_none_or(|(bg, _)| child < *bg) {
-            let threshold = 0.5 * (pairs[b - 1].0 + pairs[b].0);
+            let threshold = 0.5 * (x[sorted[b - 1]] + x[sorted[b]]);
             best = Some((child, SplitTest::NumLe { feature, threshold }));
         }
     }
@@ -566,9 +611,11 @@ fn best_categorical_split(
     // One flat row of per-class counts per category.
     let mut counts = FeatureMatrix::from_raw(n_classes, vec![0.0; n_classes * cardinality]);
     let mut totals = vec![0.0; cardinality];
+    let x = categorical(ds, feature);
+    let labels = ds.labels();
     for &i in indices {
-        let c = ds.cell(i, feature).expect_cat() as usize;
-        counts.row_mut(c)[ds.label(i) as usize] += 1.0;
+        let c = x[i] as usize;
+        counts.row_mut(c)[labels[i] as usize] += 1.0;
         totals[c] += 1.0;
     }
     let n = indices.len() as f64;
@@ -593,6 +640,7 @@ fn best_categorical_split(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rank::test_support::{arb_node, NUMERIC_FEATURES};
     use frote_data::synth::{DatasetKind, SynthConfig};
     use frote_data::{Schema, Value};
 
@@ -751,6 +799,89 @@ mod tests {
             for i in 0..20 {
                 ds.push_row(&[Value::Num((i * 10) as f64), Value::Num(-(i as f64))], i % 2)
                     .unwrap();
+            }
+        }
+    }
+
+    /// The per-node comparison-sort search the rank table replaced, kept
+    /// verbatim as the oracle for [`best_numeric_split`].
+    fn sorted_best_numeric_split(
+        ds: &Dataset,
+        indices: &[usize],
+        feature: usize,
+        parent_counts: &[f64],
+        n_classes: usize,
+        min_leaf: usize,
+    ) -> Option<(f64, SplitTest)> {
+        let mut pairs: Vec<(f64, u32)> =
+            indices.iter().map(|&i| (ds.value(i, feature).expect_num(), ds.label(i))).collect();
+        pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite feature values"));
+        let n = pairs.len();
+        let mut boundaries: Vec<usize> = (1..n).filter(|&i| pairs[i].0 > pairs[i - 1].0).collect();
+        if boundaries.is_empty() {
+            return None;
+        }
+        if boundaries.len() > MAX_THRESHOLDS {
+            let step = boundaries.len() as f64 / MAX_THRESHOLDS as f64;
+            boundaries =
+                (0..MAX_THRESHOLDS).map(|k| boundaries[(k as f64 * step) as usize]).collect();
+            boundaries.dedup();
+        }
+        let mut left_counts = vec![0.0; n_classes];
+        let mut cursor = 0usize;
+        let mut best: Option<(f64, SplitTest)> = None;
+        for &b in &boundaries {
+            while cursor < b {
+                left_counts[pairs[cursor].1 as usize] += 1.0;
+                cursor += 1;
+            }
+            if b < min_leaf || n - b < min_leaf {
+                continue;
+            }
+            let left_total = b as f64;
+            let right_total = (n - b) as f64;
+            let right_counts: Vec<f64> =
+                parent_counts.iter().zip(&left_counts).map(|(p, l)| p - l).collect();
+            let child = (left_total * gini(&left_counts, left_total)
+                + right_total * gini(&right_counts, right_total))
+                / n as f64;
+            if best.as_ref().is_none_or(|(bg, _)| child < *bg) {
+                let threshold = 0.5 * (pairs[b - 1].0 + pairs[b].0);
+                best = Some((child, SplitTest::NumLe { feature, threshold }));
+            }
+        }
+        best
+    }
+
+    /// A numeric split as bits: `SplitTest`'s `PartialEq` has `-0.0 == 0.0`.
+    fn split_bits(split: Option<(f64, SplitTest)>) -> Option<(u64, usize, u64)> {
+        split.map(|(child, test)| match test {
+            SplitTest::NumLe { feature, threshold } => {
+                (child.to_bits(), feature, threshold.to_bits())
+            }
+            SplitTest::CatEq { .. } => panic!("numeric search returned {test:?}"),
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The counting-sort search picks the comparison sort's split, bit
+        /// for bit, on ties, signed zeros, constant columns, bootstrap
+        /// repeats and partition-permuted node orders.
+        #[test]
+        fn numeric_split_matches_the_sort_oracle(node in arb_node(), min_leaf in 1usize..6) {
+            let (ds, rows) = (&node.ds, &node.rows);
+            let ranks = RankTable::new(ds);
+            let k = ds.n_classes();
+            let mut parent = vec![0.0; k];
+            for &i in rows {
+                parent[ds.label(i) as usize] += 1.0;
+            }
+            for f in NUMERIC_FEATURES {
+                let got = best_numeric_split(ds, &ranks, rows, f, &parent, k, min_leaf);
+                let want = sorted_best_numeric_split(ds, rows, f, &parent, k, min_leaf);
+                assert_eq!(split_bits(got), split_bits(want), "feature {f}");
             }
         }
     }

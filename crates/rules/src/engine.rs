@@ -732,6 +732,15 @@ impl RuleMaskCache {
     pub fn attributed_coverage(&self) -> Vec<Vec<usize>> {
         attribute(&self.masks, self.rows)
     }
+
+    /// [`RuleMaskCache::sync`] serialized against the tests that arm
+    /// `rules.mask.append`: the armed table is process-wide, so an
+    /// unlocked sync in a concurrent test could take another test's
+    /// injected fault.
+    #[cfg(test)]
+    fn sync_unfaulted(&mut self, ds: &Dataset) -> SyncOutcome {
+        frote_faults::test_support::with_spec(None, || self.sync(ds))
+    }
 }
 
 #[cfg(test)]
@@ -929,7 +938,7 @@ mod tests {
 
         let mut d = ds();
         assert_eq!(
-            cache.sync(&d),
+            cache.sync_unfaulted(&d),
             SyncOutcome::Rebuilt(frote_data::RebuildReason::FirstFit),
             "first sync evaluates the whole dataset"
         );
@@ -941,7 +950,7 @@ mod tests {
         for i in 0..5 {
             d.push_row(&[Value::Num(f64::from(i)), Value::Cat(0)], 1).unwrap();
         }
-        assert_eq!(cache.sync(&d), SyncOutcome::Appended { rows: 5 });
+        assert_eq!(cache.sync_unfaulted(&d), SyncOutcome::Appended { rows: 5 });
         assert_eq!(cache.masks(), fresh.rule_masks(&d).as_slice());
         assert_eq!(cache.coverage(), fresh.coverage(&d));
         assert_eq!(cache.outside_coverage(), fresh.outside_coverage(&d));
@@ -950,7 +959,11 @@ mod tests {
         // Reject the tail: truncate is exact, and re-sync is a no-op.
         let base = ds();
         cache.truncate(base.n_rows());
-        assert_eq!(cache.sync(&base), SyncOutcome::Unchanged, "exact rollback: nothing to redo");
+        assert_eq!(
+            cache.sync_unfaulted(&base),
+            SyncOutcome::Unchanged,
+            "exact rollback: nothing to redo"
+        );
         assert_eq!(cache.masks(), fresh.rule_masks(&base).as_slice());
     }
 
@@ -959,7 +972,7 @@ mod tests {
         let f = frs();
         let mut cache = RuleMaskCache::compile(&f, &schema()).unwrap();
         let mut d = ds();
-        cache.sync(&d);
+        cache.sync_unfaulted(&d);
         d.push_row(&[Value::Num(1.0), Value::Cat(0)], 1).unwrap();
         frote_faults::test_support::with_spec(Some("rules.mask.append:err:1000:3"), || {
             assert_eq!(
@@ -971,7 +984,7 @@ mod tests {
         let fresh = CompiledRuleSet::compile(&f, &schema()).unwrap();
         assert_eq!(cache.masks(), fresh.rule_masks(&d).as_slice(), "bit-identical degradation");
         d.push_row(&[Value::Num(2.0), Value::Cat(0)], 1).unwrap();
-        assert_eq!(cache.sync(&d), SyncOutcome::Appended { rows: 1 }, "fault cleared");
+        assert_eq!(cache.sync_unfaulted(&d), SyncOutcome::Appended { rows: 1 }, "fault cleared");
     }
 
     #[test]
@@ -979,7 +992,7 @@ mod tests {
         let f = FeedbackRuleSet::empty();
         let mut cache = RuleMaskCache::compile(&f, &schema()).unwrap();
         let d = ds();
-        cache.sync(&d);
+        cache.sync_unfaulted(&d);
         assert_eq!(cache.rows(), d.n_rows());
         assert!(cache.coverage().is_empty());
         assert_eq!(cache.outside_coverage(), (0..d.n_rows()).collect::<Vec<_>>());
