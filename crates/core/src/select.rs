@@ -324,10 +324,7 @@ fn joint_neighbor_select(
             }
         }
         scored.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("finite probabilities")
-                .then_with(|| a.1.cmp(&b.1))
-                .then_with(|| a.2.cmp(&b.2))
+            a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)).then_with(|| a.2.cmp(&b.2))
         });
         for &(_, row, neighbor) in scored.iter().take(quota) {
             out.push(BaseInstance::new(r, row).with_neighbor(neighbor));
@@ -362,7 +359,10 @@ fn online_proxy_select(
                 (probs.get(target as usize).copied().unwrap_or(0.0), i)
             })
             .collect();
-        scored.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite probabilities"));
+        // `total_cmp` orders non-NaN probabilities as `partial_cmp` does
+        // (none is `-0.0`); NaN ones (from a NaN feature cell) get a fixed
+        // place by their bits instead of a panic.
+        scored.sort_by(|a, b| a.0.total_cmp(&b.0));
         for &(_, row) in scored.iter().take(quota) {
             out.push(BaseInstance::new(r, row));
         }
@@ -484,6 +484,36 @@ mod tests {
             &mut rng,
         );
         assert!(!sel.is_empty());
+        for b in &sel {
+            assert!(bp.population(b.rule).members.contains(&b.row));
+        }
+    }
+
+    #[test]
+    fn online_proxy_survives_a_nan_feature_cell() {
+        // One NaN cell makes every proxy probability NaN; sorting them used
+        // to panic with "finite probabilities".
+        let schema =
+            Schema::builder("y", vec!["a".into(), "b".into()]).numeric("x").numeric("z").build();
+        let mut d = Dataset::new(schema);
+        for i in 0..20 {
+            let z = if i == 3 { f64::NAN } else { i as f64 };
+            d.push_row(&[Value::Num(i as f64), Value::Num(z)], u32::from(i >= 10)).unwrap();
+        }
+        let f = frs();
+        let bp = BasePopulation::pre_select(&d, &f, 5);
+        let mut rng = StdRng::seed_from_u64(42);
+        let sel = SelectionStrategy::OnlineProxy.select(
+            &d,
+            &f,
+            &bp,
+            6,
+            5,
+            &Stub,
+            &mut SelectCache::new(),
+            &mut rng,
+        );
+        assert_eq!(sel.len(), 6);
         for b in &sel {
             assert!(bp.population(b.rule).members.contains(&b.row));
         }

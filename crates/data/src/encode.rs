@@ -74,6 +74,15 @@ impl Encoder {
         self.width
     }
 
+    /// Width of the leading run of numeric columns: encoded cells
+    /// `0..numeric_prefix_width()` are z-scored numbers, one per column,
+    /// and the first one-hot block (if any) starts right after them.
+    /// Equals [`Encoder::width`] for all-numeric schemas and 0 when the
+    /// first column is categorical.
+    pub fn numeric_prefix_width(&self) -> usize {
+        self.cols.iter().take_while(|c| matches!(c, ColEncoder::Numeric { .. })).count()
+    }
+
     /// Encodes one cell into `out`. The single source of truth for the
     /// encoding arithmetic — every batch path funnels through it, which is
     /// what keeps matrix and per-row encodings bit-identical.
@@ -239,6 +248,24 @@ mod tests {
     fn width_counts_onehot_blocks() {
         let enc = Encoder::fit(&demo());
         assert_eq!(enc.width(), 1 + 3);
+    }
+
+    #[test]
+    fn numeric_prefix_stops_at_the_first_onehot_block() {
+        assert_eq!(Encoder::fit(&demo()).numeric_prefix_width(), 1);
+        let schema = Schema::builder("y", vec!["a".into(), "b".into()])
+            .numeric("x0")
+            .numeric("x1")
+            .categorical("c", vec!["u".into()])
+            .numeric("x2")
+            .build();
+        let enc = Encoder::fit(&Dataset::new(schema));
+        assert_eq!((enc.numeric_prefix_width(), enc.width()), (2, 4));
+        let schema = Schema::builder("y", vec!["a".into(), "b".into()])
+            .categorical("c", vec!["u".into(), "v".into()])
+            .numeric("x")
+            .build();
+        assert_eq!(Encoder::fit(&Dataset::new(schema)).numeric_prefix_width(), 0);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! this module is the compute half of that bargain: the innermost
 //! arithmetic — dot products, squared distances, softmax, gradient
 //! accumulation — lives here once, instead of being re-spelled at every
-//! call site.
+//! call site. Logistic regression calls [`dot_from`] and [`axpy`] on the
+//! dense numeric prefix of each encoded row only; its one-hot tail is read
+//! through a per-fit index of nonzero cells (see `crate::logreg`).
 //!
 //! ## Determinism contract
 //!
@@ -21,10 +23,10 @@
 //!   the scheduler), while the adds keep the single sequential chain —
 //!   `f64` addition is not associative, so a 4-accumulator reduction would
 //!   reassociate the sum and break the byte-identical contract.
-//! - Elementwise kernels ([`axpy`], [`grad_update`], [`add_assign`],
-//!   [`sub_assign`], [`softmax_into`]) have no cross-element data flow at
-//!   all, so the autovectorizer is free to use full-width SIMD without any
-//!   ordering caveat.
+//! - Elementwise kernels ([`axpy`], [`add_assign`], [`sub_assign`],
+//!   [`softmax_into`]) have no cross-element data flow at all, so the
+//!   autovectorizer is free to use full-width SIMD without any ordering
+//!   caveat.
 //!
 //! Parallel callers (the logistic-regression gradient, histogram builds)
 //! get thread-count invariance on top by accumulating fixed-size blocks
@@ -119,21 +121,6 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// Fused softmax-gradient accumulate: `g[j] += err · x[j]` for the feature
-/// coefficients plus `g[last] += err` for the trailing bias slot, where
-/// `err = p_c − 1[y = c]` at the call site. One call per class per row is
-/// the whole inner loop of the logistic-regression fit.
-///
-/// # Panics
-///
-/// Panics unless `g.len() == x.len() + 1` (the bias slot).
-pub fn grad_update(g: &mut [f64], err: f64, x: &[f64]) {
-    assert_eq!(g.len(), x.len() + 1, "gradient row carries a trailing bias slot");
-    let (coef, bias) = g.split_at_mut(x.len());
-    axpy(err, x, coef);
-    bias[0] += err;
-}
-
 /// `acc[i] += x[i]` — the fixed-order block reduction primitive: parallel
 /// partials are merged by folding them into the accumulator in block order.
 ///
@@ -186,16 +173,44 @@ pub fn gather_sum(xs: &[f64], idx: &[usize]) -> f64 {
 /// normalize. The op order (max fold, then one exp-and-sum pass, then one
 /// divide pass) matches the scalar implementations this kernel replaced in
 /// `logreg`, `gbdt`, and `naive_bayes` exactly.
+///
+/// The first score equal to a finite max writes `1.0` without calling
+/// `exp`: its shifted value is `±0` and `exp(±0)` is exactly 1, so the
+/// result is bit-identical while binary models make half the `exp` calls.
+/// The max is found with `>`, which skips NaN like `f64::max` and may keep
+/// the other sign of a zero max; no output depends on that sign. A max of
+/// `±inf` shifts to NaN, so then every entry still goes through `exp`.
 pub fn softmax_in_place(out: &mut [f64]) {
-    let max = out.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let mut sum = 0.0;
-    for o in out.iter_mut() {
-        *o = (*o - max).exp();
-        sum += *o;
+    let (mut max, mut at) = (f64::NEG_INFINITY, out.len());
+    for (i, &o) in out.iter().enumerate() {
+        if o > max {
+            (max, at) = (o, i);
+        }
+    }
+    if !max.is_finite() {
+        at = out.len();
+    }
+    // Splitting the pass at the max (rather than testing every entry)
+    // keeps the loop free of a data-dependent branch.
+    let (below, from_max) = out.split_at_mut(at);
+    let mut sum = exp_shifted_sum(below, max, 0.0);
+    if let Some((top, above)) = from_max.split_first_mut() {
+        *top = 1.0;
+        sum = exp_shifted_sum(above, max, sum + 1.0);
     }
     for o in out.iter_mut() {
         *o /= sum;
     }
+}
+
+/// `xs[i] = exp(xs[i] − max)` in place, each result added to `sum` in
+/// element order; returns the sum.
+fn exp_shifted_sum(xs: &mut [f64], max: f64, mut sum: f64) -> f64 {
+    for o in xs {
+        *o = (*o - max).exp();
+        sum += *o;
+    }
+    sum
 }
 
 /// [`softmax_in_place`] of `scores`, written into `out`.
@@ -243,13 +258,10 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_grad_update() {
+    fn axpy_known_values() {
         let mut y = vec![1.0, 2.0, 3.0];
         axpy(2.0, &[1.0, 1.0, 1.0], &mut y);
         assert_eq!(y, vec![3.0, 4.0, 5.0]);
-        let mut g = vec![0.0; 4];
-        grad_update(&mut g, 0.5, &[2.0, 4.0, 6.0]);
-        assert_eq!(g, vec![1.0, 2.0, 3.0, 0.5], "bias slot last");
     }
 
     #[test]
@@ -296,11 +308,5 @@ mod tests {
     #[should_panic(expected = "share a length")]
     fn dot_length_mismatch_panics() {
         dot(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "trailing bias slot")]
-    fn grad_update_without_bias_slot_panics() {
-        grad_update(&mut [0.0; 3], 1.0, &[1.0; 3]);
     }
 }

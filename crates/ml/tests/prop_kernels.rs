@@ -4,10 +4,12 @@
 //! reference loop **exactly** (`to_bits` equality, not epsilon closeness) on
 //! arbitrary finite inputs including the empty and length-1 cases — that is
 //! what makes rewiring call sites onto the kernels a no-op for the golden
-//! pipeline hashes. On top, the blocked logistic-regression gradient (the
-//! one kernel consumer that parallelizes) must be invariant to
-//! `FROTE_THREADS` 1/2/4, because its per-block partials are reduced in
-//! block order.
+//! pipeline hashes. Softmax is also pinned on ties with the max, all-equal
+//! scores and infinite entries, where the kernel skips `exp` for the max.
+//! On top, the blocked logistic-regression gradient (which runs the kernels
+//! on each row's dense numeric prefix and parallelizes over row blocks)
+//! must be invariant to `FROTE_THREADS` 1/2/4, because its per-block
+//! partials are reduced in block order.
 
 use frote_data::{Dataset, Schema, Value};
 use frote_ml::kernels;
@@ -99,10 +101,7 @@ proptest! {
     }
 
     #[test]
-    fn axpy_and_grad_update_equal_naive_bit_for_bit(
-        (x, y) in slice_pair(),
-        alpha in finite(),
-    ) {
+    fn axpy_equals_naive_bit_for_bit((x, y) in slice_pair(), alpha in finite()) {
         let mut kernel = y.clone();
         kernels::axpy(alpha, &x, &mut kernel);
         let mut naive = y.clone();
@@ -110,17 +109,6 @@ proptest! {
             *yi += alpha * xi;
         }
         prop_assert_eq!(bits(&kernel), bits(&naive));
-
-        // grad_update = axpy over the coefficients + bias accumulate.
-        let mut g = y.clone();
-        g.push(alpha);
-        let mut g_naive = g.clone();
-        kernels::grad_update(&mut g, alpha, &x);
-        for (gj, &xj) in g_naive.iter_mut().zip(&x) {
-            *gj += alpha * xj;
-        }
-        *g_naive.last_mut().unwrap() += alpha;
-        prop_assert_eq!(bits(&g), bits(&g_naive));
     }
 
     #[test]
@@ -159,6 +147,66 @@ proptest! {
             naive_logsumexp(&scores).to_bits()
         );
     }
+
+    /// Random scores with the max copied into other slots and some entries
+    /// set to `-inf`: ties with the max skip `exp`, `-inf` entries do not.
+    #[test]
+    fn softmax_with_forced_ties_equals_naive_bit_for_bit(
+        scores in proptest::collection::vec(-700.0..700.0f64, 1..=17),
+        edits in proptest::collection::vec((0usize..17, 0u8..3), 0..=6),
+    ) {
+        let mut scores = scores;
+        let max = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        for &(at, what) in &edits {
+            let at = at % scores.len();
+            scores[at] = match what {
+                0 => max,
+                1 => f64::NEG_INFINITY,
+                _ => scores[at],
+            };
+        }
+        let mut out = vec![0.0; scores.len()];
+        kernels::softmax_into(&scores, &mut out);
+        prop_assert_eq!(nan_aware_bits(&out), nan_aware_bits(&naive_softmax(&scores)));
+    }
+}
+
+/// [`bits`] with every NaN mapped to `None`: degenerate inputs (all `-inf`,
+/// an infinite max) give NaN in both the kernel and the naive loop, and the
+/// contract is about which cells are NaN, not their payloads.
+fn nan_aware_bits(xs: &[f64]) -> Vec<Option<u64>> {
+    xs.iter().map(|x| (!x.is_nan()).then(|| x.to_bits())).collect()
+}
+
+/// The softmax edge cases the `exp` skip must get right, each pinned
+/// against the naive loop that calls `exp` on every entry.
+#[test]
+fn softmax_ties_and_infinities_equal_naive_bit_for_bit() {
+    let inf = f64::INFINITY;
+    let cases: &[&[f64]] = &[
+        &[7.0],
+        &[2.0, 2.0, -1.0],
+        &[0.5, 3.0, 3.0, 1.0],
+        &[1.5, 1.5, 1.5],
+        &[0.0, 0.0],
+        &[0.0, -0.0],
+        &[-0.0, 0.0, -0.0],
+        &[-inf, 0.0, 1.0],
+        &[-inf, 2.0, 2.0],
+        &[-inf, -inf, 4.0],
+        &[-inf, -inf],
+        &[inf, 1.0],
+        &[inf, inf],
+    ];
+    for &scores in cases {
+        let mut out = vec![0.0; scores.len()];
+        kernels::softmax_into(scores, &mut out);
+        assert_eq!(nan_aware_bits(&out), nan_aware_bits(&naive_softmax(scores)), "{scores:?}");
+    }
+    // Ties share the probability exactly, and -inf entries get exactly 0.
+    let mut out = vec![0.0; 4];
+    kernels::softmax_into(&[-inf, 3.0, 3.0, -inf], &mut out);
+    assert_eq!(bits(&out), bits(&[0.0, 0.5, 0.5, 0.0]));
 }
 
 // ---- blocked-reduction thread invariance ----

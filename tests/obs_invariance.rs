@@ -125,18 +125,26 @@ fn metrics_on_preserves_goldens_and_invariant_counters_across_threads() {
         );
         let snap = frote_obs::snapshot();
         // The runs actually counted interior work — accepted iterations,
-        // cache appends, histogram nodes — not just zeros matching zeros.
+        // cache appends, histogram nodes, the online proxy's LR fits and
+        // their gradient steps — not just zeros matching zeros.
         for name in [
             "frote.iterations",
             "frote.accepted",
             "hist.nodes_built",
             "rule_mask_cache.sync.append",
+            "lr.fits",
+            "lr.iterations",
         ] {
             assert!(
                 snap.counter(name).unwrap_or(0) > 0,
                 "{name} stayed zero at {t} threads — instrumentation not reached"
             );
         }
+        // The proxy fits cap at 50 iterations; each stops there or early.
+        let fits = snap.counter("lr.fits").unwrap_or(0);
+        let stops = snap.counter("lr.max_iter_stops").unwrap_or(0);
+        assert!(stops <= fits, "{stops} max_iter stops for {fits} LR fits");
+        assert!(snap.counter("lr.iterations").unwrap_or(0) <= 50 * fits);
         let invariant = invariant_slice(&snap);
         match &reference {
             None => reference = Some(invariant),
