@@ -4,11 +4,11 @@
 //! `frote-obs` metrics snapshot whose thread-invariant counters `benchdiff`
 //! gates like output hashes.
 //!
-//! Probes cover the `frote-par` runtime (kNN batch query, SMOTE generation,
-//! one full FROTE iteration), the dense data plane (batch encoding into
-//! `FeatureMatrix`, batch `predict_dataset` scoring for the RF / LGBM / LR
-//! families), the quantized training plane (DT / GBDT fits in exact vs
-//! histogram split mode), the numeric kernel layer (`lr_fit` blocked
+//! Probes cover the `frote-par` runtime (SMOTE generation, one full FROTE
+//! iteration), the dense data plane (batch encoding into `FeatureMatrix`,
+//! batch `predict_dataset` scoring for the RF / LGBM / LR families), the
+//! quantized training plane (DT / GBDT fits in exact vs histogram split
+//! mode), the numeric kernel layer (`lr_fit` blocked
 //! logistic-regression training, `knn_batch` brute mixed-distance scans,
 //! `rf_hist_subsample` compact candidate histograms), and the compiled
 //! columnar rule engine (`rule_coverage` clause scans, `rule_quality_scan`
@@ -39,7 +39,6 @@ use frote_bench::CliOptions;
 use frote_data::encode::Encoder;
 use frote_data::synth::{DatasetKind, SynthConfig};
 use frote_data::{Binner, Dataset, FeatureMatrix, Value};
-use frote_ml::balltree::BallTree;
 use frote_ml::distance::{MixedDistance, MixedMetric};
 use frote_ml::forest::{ForestParams, RandomForestTrainer};
 use frote_ml::gbdt::{Gbdt, GbdtParams, GbdtTrainer};
@@ -409,20 +408,7 @@ fn main() {
 
     let mut benches = Vec::new();
 
-    // 1. Ball-tree batch kNN: build once, time the query fan-out.
-    let mut rng = StdRng::seed_from_u64(11);
-    let points: Vec<Vec<f64>> =
-        (0..6000).map(|_| (0..8).map(|_| rng.random_range(-10.0..10.0)).collect()).collect();
-    let queries: Vec<Vec<f64>> =
-        (0..600).map(|_| (0..8).map(|_| rng.random_range(-10.0..10.0)).collect()).collect();
-    let queries = frote_data::FeatureMatrix::from_rows(queries);
-    let tree = BallTree::build(points.into());
-    benches.push(record("knn_batch_query", threads, 3, || {
-        let hits = tree.k_nearest_batch(&queries, 10);
-        hash_of(&hits.iter().flat_map(|h| h.iter().map(|n| n.index as u64)).collect::<Vec<_>>())
-    }));
-
-    // 2. SMOTE generation on an all-numeric synthetic dataset.
+    // 1. SMOTE generation on an all-numeric synthetic dataset.
     let ds = DatasetKind::WineQuality.generate(&SynthConfig { n_rows: 1500, ..Default::default() });
     let minority = (0..ds.n_classes() as u32)
         .min_by_key(|&c| ds.indices_of_class(c).len())
@@ -434,7 +420,7 @@ fn main() {
         hash_of(&format!("{out:?}"))
     }));
 
-    // 3. Rule-coverage scan over a wide synthetic dataset: the compiled
+    // 2. Rule-coverage scan over a wide synthetic dataset: the compiled
     // columnar engine (`frote_rules::engine`, what `Clause::coverage` now
     // runs on) against the row-at-a-time interpreter it replaced. Both
     // scans must return the same rows, so the digests double as a
@@ -457,14 +443,14 @@ fn main() {
     mode_comparisons.push(ModeComparison::new("rule_coverage", interp_cov_ms, rule_cov.serial_ms));
     benches.push(rule_cov);
 
-    // 4. Encode throughput: the whole Adult table into one FeatureMatrix.
+    // 3. Encode throughput: the whole Adult table into one FeatureMatrix.
     let encoder = Encoder::fit(&big);
     benches.push(record("encode_dataset", threads, 5, || {
         let m = encoder.encode_dataset(&big);
         hash_f64s(m.as_slice())
     }));
 
-    // 5. Batch predict_dataset throughput per model family (train once at a
+    // 4. Batch predict_dataset throughput per model family (train once at a
     // pinned thread count so every timing scores the same model).
     let scoring = DatasetKind::Adult.generate(&SynthConfig { n_rows: 8000, ..Default::default() });
     frote_par::set_threads(1);
@@ -478,7 +464,7 @@ fn main() {
         benches.push(record(name, threads, 3, || hash_of(&model.predict_dataset(&scoring))));
     }
 
-    // 6. Tree training in exact vs histogram split mode, on a numeric-heavy
+    // 5. Tree training in exact vs histogram split mode, on a numeric-heavy
     // table where the exact search's per-node row ordering dominates. The
     // serial legs feed the mode comparison; the serial/parallel pair of each
     // mode additionally pins the histogram engine's thread-determinism.
@@ -509,7 +495,7 @@ fn main() {
     benches.push(gbdt_exact);
     benches.push(gbdt_hist);
 
-    // 7. The PR 5 kernel layer. `lr_fit`: the blocked/kernel logistic-
+    // 6. The PR 5 kernel layer. `lr_fit`: the blocked/kernel logistic-
     // regression fit, gated on its prediction digest and compared against
     // the pre-kernel scalar gradient loop (reimplemented below as the
     // measured baseline). The two arrange their f64 sums differently
@@ -526,7 +512,7 @@ fn main() {
     mode_comparisons.push(ModeComparison::new("lr_fit", naive_lr_ms, lr_fit.serial_ms));
     benches.push(lr_fit);
 
-    // 8. `rule_quality_scan`: whole-set rule quality (support, confidence,
+    // 7. `rule_quality_scan`: whole-set rule quality (support, confidence,
     // recall, lift) for a multi-rule WineQuality feedback set. Every
     // coverage scan inside `assess_all` runs on the compiled engine; the
     // interpreted row-at-a-time twin is the measured baseline. Identical
@@ -597,7 +583,7 @@ fn main() {
     ));
     benches.push(quality_scan);
 
-    // 9. `knn_batch`: brute-force mixed-distance kNN over the columnar
+    // 8. `knn_batch`: brute-force mixed-distance kNN over the columnar
     // store — the block distance kernel under a parallel query fan-out.
     let knn_rows: Vec<usize> = (0..scoring.n_rows()).step_by(16).collect();
     let knn_cands: Vec<usize> = (0..scoring.n_rows()).collect();
@@ -612,7 +598,7 @@ fn main() {
         h.finish()
     }));
 
-    // 10. `rf_hist_subsample`: per-node candidate-feature class histograms
+    // 9. `rf_hist_subsample`: per-node candidate-feature class histograms
     // for forest-like nodes (√F sampled features, 500-row nodes — the
     // deep-node regime where the full buffer's zero/reduce cost dominates
     // the accumulate) on the wide Adult table, compact layout vs the
@@ -661,7 +647,7 @@ fn main() {
     mode_comparisons.push(ModeComparison::new("rf_hist_subsample", full_ms, rf_hist.serial_ms));
     benches.push(rf_hist);
 
-    // 11. One FROTE iteration end to end (select → generate → retrain).
+    // 10. One FROTE iteration end to end (select → generate → retrain).
     let car = DatasetKind::Car.generate(&SynthConfig { n_rows: 400, ..Default::default() });
     let rule = parse_rule("safety = low AND buying = low => acc", car.schema()).expect("rule");
     let frs = FeedbackRuleSet::new(vec![rule]);
@@ -674,7 +660,7 @@ fn main() {
         hash_of(&format!("{:?}{:?}", out.dataset, out.report))
     }));
 
-    // 12. Three FROTE iterations with the online-proxy selector under
+    // 11. Three FROTE iterations with the online-proxy selector under
     // histogram-mode RF retrains on the categorical Car table — the
     // configuration that drives all three incremental caches (encoded,
     // binned, rule-mask) through their *append* paths (categorical
@@ -706,7 +692,7 @@ fn main() {
         hash_of(&format!("{:?}{:?}", out.dataset, out.report))
     }));
 
-    // 13. The PR 9 serving plane: an in-process server on an ephemeral
+    // 12. The PR 9 serving plane: an in-process server on an ephemeral
     // loopback port, scored over the wire through the micro-batcher.
     // `serve_latency` measures sequential single-client request latency;
     // the sweep drives 4 concurrent clients at growing rows-per-request so
@@ -804,7 +790,7 @@ fn main() {
         server.trigger_shutdown();
         accept.join().expect("accept loop joins");
 
-        // 14. The PR 10 overload probe: a deliberately tiny server (batch
+        // 13. The PR 10 overload probe: a deliberately tiny server (batch
         // queue depth 2) with an injected 25ms drain delay, driven by 8
         // clients at once — admission control must shed with structured
         // `503` + `Retry-After`, and clients retry each shed request until

@@ -7,10 +7,10 @@
 //!   `table5`, `table6`, `table7_8`, `figure9`, `figure10`,
 //!   `ablation_online`, `repro_all`). All accept
 //!   `--scale {smoke,paper}` (default `smoke`).
-//! - **criterion benches** (`benches/`) time the core operations:
-//!   SMOTE generation, model training, rule coverage, `PreSelectBP`, the
-//!   selection IP, a full FROTE iteration, Overlay prediction, and kNN
-//!   search.
+//! - **`perfsmoke`** times the parallelized hot paths and writes a
+//!   digest-gated `BENCH_*.json` record; **`benchdiff`** ([`benchgate`])
+//!   compares two records. End-to-end timings live in the separate
+//!   `perfbench` package.
 
 #![warn(missing_docs)]
 

@@ -8,7 +8,7 @@
 //! with rule-constrained SMOTE-style synthetic instances so that retraining
 //! on the augmented `D̂` aligns the model with the rules (high model-rule
 //! agreement) without sacrificing performance outside the rules' coverage
-//! (paper Eq. 3). See `DESIGN.md` for the system inventory.
+//! (paper Eq. 3). The README's Layout section lists the system's crates.
 //!
 //! The crate follows the paper's structure:
 //!

@@ -22,8 +22,8 @@
 //! - [`split`] — deterministic train/test splitting utilities,
 //! - [`csv`] — a small typed CSV reader/writer,
 //! - [`synth`] — schema-matched synthetic generators for the eight UCI
-//!   datasets (the reproduction's substitute for the network-gated downloads;
-//!   see DESIGN.md §3).
+//!   datasets (the reproduction's substitute for the UCI downloads, which an
+//!   offline build cannot fetch).
 //!
 //! # Example
 //!

@@ -13,8 +13,6 @@
 //! - FROTE's editing dynamics (decision boundaries movable by augmentation)
 //!   are exercised on the same code paths as the paper's experiments.
 //!
-//! See DESIGN.md §3 for the substitution rationale.
-//!
 //! ```
 //! use frote_data::synth::{DatasetKind, SynthConfig};
 //! let ds = DatasetKind::Car.generate(&SynthConfig { n_rows: 200, ..Default::default() });

@@ -9,7 +9,7 @@
 //! sequential-covering learner with beam search over conjunctions produces
 //! rule sets of the same form (DNF over `(feature, op, value)` predicates
 //! with few conditions) and feeds the identical downstream protocol, which
-//! only needs *plausible, model-derived* rules to perturb (DESIGN.md §3).
+//! only needs *plausible, model-derived* rules to perturb.
 //!
 //! ```
 //! use frote_data::synth::{DatasetKind, SynthConfig};

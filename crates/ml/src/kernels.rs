@@ -3,9 +3,8 @@
 //!
 //! PR 3 put every hot structure on flat [`frote_data::FeatureMatrix`] rows;
 //! this module is the compute half of that bargain: the innermost
-//! arithmetic — dot products, squared distances, softmax, gradient
-//! accumulation — lives here once, instead of being re-spelled at every
-//! call site. Logistic regression calls [`dot_from`] and [`axpy`] on the
+//! arithmetic — dot products, softmax, gradient accumulation — lives here
+//! once, instead of being re-spelled at every call site. Logistic regression calls [`dot_from`] and [`axpy`] on the
 //! dense numeric prefix of each encoded row only; its one-hot tail is read
 //! through a per-fit index of nonzero cells (see `crate::logreg`).
 //!
@@ -16,17 +15,16 @@
 //! to the scalar code it replaced — rewiring a call site onto a kernel can
 //! never move a golden hash. Concretely:
 //!
-//! - Reductions ([`dot`], [`sq_dist`], [`gather_sum`], [`logsumexp`]) fold
-//!   left in element order. The 4-lane block structure applies to the
-//!   *products*: the four multiplies of a block are independent (one SIMD
-//!   multiply for the autovectorizer, four parallel scalar multiplies for
-//!   the scheduler), while the adds keep the single sequential chain —
+//! - Reductions ([`dot`], [`gather_sum`]) fold left in element order. The
+//!   4-lane block structure applies to the *products*: the four multiplies
+//!   of a block are independent (one SIMD multiply for the autovectorizer,
+//!   four parallel scalar multiplies for the scheduler), while the adds
+//!   keep the single sequential chain —
 //!   `f64` addition is not associative, so a 4-accumulator reduction would
 //!   reassociate the sum and break the byte-identical contract.
-//! - Elementwise kernels ([`axpy`], [`add_assign`], [`sub_assign`],
-//!   [`softmax_into`]) have no cross-element data flow at all, so the
-//!   autovectorizer is free to use full-width SIMD without any ordering
-//!   caveat.
+//! - Elementwise kernels ([`axpy`], [`add_assign`], [`softmax_into`]) have
+//!   no cross-element data flow at all, so the autovectorizer is free to
+//!   use full-width SIMD without any ordering caveat.
 //!
 //! Parallel callers (the logistic-regression gradient, histogram builds)
 //! get thread-count invariance on top by accumulating fixed-size blocks
@@ -83,31 +81,6 @@ pub fn dot_from(init: f64, a: &[f64], b: &[f64]) -> f64 {
     acc
 }
 
-/// Squared Euclidean distance `Σ (a[i] − b[i])²`, folding left from `0.0`
-/// in element order.
-///
-/// # Panics
-///
-/// Panics if the slices' lengths differ.
-pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "sq_dist operands must share a length");
-    let mut acc = 0.0;
-    let mut ca = a.chunks_exact(LANES);
-    let mut cb = b.chunks_exact(LANES);
-    for (x, y) in ca.by_ref().zip(cb.by_ref()) {
-        let d0 = x[0] - y[0];
-        let d1 = x[1] - y[1];
-        let d2 = x[2] - y[2];
-        let d3 = x[3] - y[3];
-        acc = acc + d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3;
-    }
-    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-        let d = x - y;
-        acc += d * d;
-    }
-    acc
-}
-
 /// `y[i] += alpha · x[i]` — the BLAS `axpy`. Purely elementwise, so the
 /// autovectorizer emits full-width SIMD with no ordering caveat.
 ///
@@ -131,18 +104,6 @@ pub fn add_assign(acc: &mut [f64], x: &[f64]) {
     assert_eq!(acc.len(), x.len(), "add_assign operands must share a length");
     for (a, &v) in acc.iter_mut().zip(x) {
         *a += v;
-    }
-}
-
-/// `acc[i] -= x[i]` — sibling-histogram subtraction and friends.
-///
-/// # Panics
-///
-/// Panics if the slices' lengths differ.
-pub fn sub_assign(acc: &mut [f64], x: &[f64]) {
-    assert_eq!(acc.len(), x.len(), "sub_assign operands must share a length");
-    for (a, &v) in acc.iter_mut().zip(x) {
-        *a -= v;
     }
 }
 
@@ -172,7 +133,7 @@ pub fn gather_sum(xs: &[f64], idx: &[usize]) -> f64 {
 /// In-place numerically-stable softmax: subtract the max, exponentiate,
 /// normalize. The op order (max fold, then one exp-and-sum pass, then one
 /// divide pass) matches the scalar implementations this kernel replaced in
-/// `logreg`, `gbdt`, and `naive_bayes` exactly.
+/// `logreg` and `gbdt` exactly.
 ///
 /// The first score equal to a finite max writes `1.0` without calling
 /// `exp`: its shifted value is `±0` and `exp(±0)` is exactly 1, so the
@@ -223,21 +184,6 @@ pub fn softmax_into(scores: &[f64], out: &mut [f64]) {
     softmax_in_place(out);
 }
 
-/// Numerically-stable `ln Σ exp(x[i])`: `max + ln Σ exp(x[i] − max)`, with
-/// the sum folding left in element order. Returns `-inf` for an empty slice
-/// (the sum of zero exponentials).
-pub fn logsumexp(xs: &[f64]) -> f64 {
-    let max = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    if !max.is_finite() {
-        return max; // empty, or every term is -inf (exp underflows to 0)
-    }
-    let mut sum = 0.0;
-    for &x in xs {
-        sum += (x - max).exp();
-    }
-    max + sum.ln()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,13 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn sq_dist_known_values() {
-        assert_eq!(sq_dist(&[], &[]), 0.0);
-        assert_eq!(sq_dist(&[0.0, 3.0], &[4.0, 0.0]), 25.0);
-        assert_eq!(sq_dist(&[1.0; 9], &[1.0; 9]), 0.0);
-    }
-
-    #[test]
     fn axpy_known_values() {
         let mut y = vec![1.0, 2.0, 3.0];
         axpy(2.0, &[1.0, 1.0, 1.0], &mut y);
@@ -265,12 +204,10 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_assign_round_trip() {
+    fn add_assign_known_values() {
         let mut acc = vec![1.0, 2.0];
         add_assign(&mut acc, &[3.0, 4.0]);
         assert_eq!(acc, vec![4.0, 6.0]);
-        sub_assign(&mut acc, &[3.0, 4.0]);
-        assert_eq!(acc, vec![1.0, 2.0]);
     }
 
     #[test]
@@ -292,16 +229,6 @@ mod tests {
         for (a, b) in out.iter().zip(&shifted) {
             assert_eq!(a.to_bits(), b.to_bits(), "max subtraction makes shifts exact");
         }
-    }
-
-    #[test]
-    fn logsumexp_stable_and_edge_cases() {
-        assert_eq!(logsumexp(&[]), f64::NEG_INFINITY);
-        assert_eq!(logsumexp(&[f64::NEG_INFINITY; 3]), f64::NEG_INFINITY);
-        assert!((logsumexp(&[0.0, 0.0]) - 2.0f64.ln()).abs() < 1e-12);
-        // Stability: inputs far outside exp's range still finite.
-        let l = logsumexp(&[1000.0, 1000.0]);
-        assert!((l - (1000.0 + 2.0f64.ln())).abs() < 1e-9);
     }
 
     #[test]

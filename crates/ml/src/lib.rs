@@ -3,9 +3,9 @@
 //! Hand-rolled classification substrate for the FROTE (MLSys 2022)
 //! reproduction. The paper evaluates FROTE with scikit-learn's Logistic
 //! Regression and Random Forest plus LightGBM; this crate provides faithful
-//! Rust stand-ins (see DESIGN.md §3) together with the nearest-neighbour
-//! machinery SMOTE-style generation needs and the metrics the evaluation
-//! reports:
+//! Rust stand-ins (the offline build links no Python or C++ library)
+//! together with the nearest-neighbour machinery SMOTE-style generation
+//! needs and the metrics the evaluation reports:
 //!
 //! - [`Classifier`] / [`TrainAlgorithm`] — the black-box training contract
 //!   FROTE assumes (§3.2: "any classification algorithm that takes training
@@ -19,8 +19,8 @@
 //!   tree families (opt-in per trainer via [`SplitMode`]),
 //! - [`kernels`] — the blocked, autovectorizer-friendly `f64` kernels every
 //!   numeric inner loop (distances, softmax, gradients) runs on,
-//! - [`knn`] / [`balltree`] / [`distance`] — mixed-type nearest neighbours
-//!   (scikit-learn `ball_tree` stand-in),
+//! - [`knn`] / [`distance`] — exact brute-force mixed-type nearest
+//!   neighbours (the results scikit-learn's `ball_tree` returns),
 //! - [`metrics`] — accuracy, confusion matrices, and F1 scores.
 //!
 //! ```
@@ -36,7 +36,6 @@
 
 #![warn(missing_docs)]
 
-pub mod balltree;
 pub mod distance;
 mod error;
 pub mod forest;
@@ -46,11 +45,9 @@ pub mod kernels;
 pub mod knn;
 pub mod logreg;
 pub mod metrics;
-pub mod naive_bayes;
 mod rank;
 mod traits;
 pub mod tree;
-pub mod validate;
 
 pub use error::MlError;
 pub use histogram::{default_split_mode, set_default_split_mode, GossParams, SplitMode};

@@ -7,7 +7,6 @@ use frote_data::synth::{DatasetKind, SynthConfig};
 use frote_ml::forest::{ForestParams, RandomForestTrainer};
 use frote_ml::gbdt::{GbdtParams, GbdtTrainer};
 use frote_ml::logreg::LogisticRegressionTrainer;
-use frote_ml::naive_bayes::NaiveBayesTrainer;
 use frote_ml::tree::DecisionTreeTrainer;
 use frote_ml::TrainAlgorithm;
 use frote_par::test_support::with_threads;
@@ -19,7 +18,6 @@ fn predict_dataset_matches_per_row_predict_for_all_families() {
         Box::new(DecisionTreeTrainer::default()),
         Box::new(RandomForestTrainer::new(ForestParams { n_trees: 7, ..Default::default() }, 3)),
         Box::new(GbdtTrainer::new(GbdtParams { n_rounds: 5, ..Default::default() })),
-        Box::new(NaiveBayesTrainer::default()),
     ];
     for kind in [DatasetKind::Car, DatasetKind::WineQuality, DatasetKind::Adult] {
         let ds = kind.generate(&SynthConfig { n_rows: 600, ..Default::default() });
@@ -57,7 +55,6 @@ fn predict_proba_into_matches_predict_proba() {
         Box::new(LogisticRegressionTrainer::default()),
         Box::new(RandomForestTrainer::new(ForestParams { n_trees: 5, ..Default::default() }, 1)),
         Box::new(GbdtTrainer::new(GbdtParams { n_rounds: 3, ..Default::default() })),
-        Box::new(NaiveBayesTrainer::default()),
     ];
     for trainer in &trainers {
         let model = trainer.train(&ds);

@@ -23,8 +23,7 @@
 //! to the target class. When the model never predicts the class, the
 //! transformation has nothing to anchor to and Soft falls back to the raw
 //! model prediction — reproducing the paper's finding that Overlay degrades
-//! when feedback rules "differ too significantly from the underlying model"
-//! (see DESIGN.md §3).
+//! when feedback rules "differ too significantly from the underlying model".
 
 #![warn(missing_docs)]
 

@@ -3,9 +3,9 @@
 //! The deterministic parallel-execution runtime of the FROTE reproduction.
 //!
 //! The workspace's hot paths — batch kNN, SMOTE-style generation, rule
-//! coverage scans, per-tree ensemble fitting, cross-validation folds,
-//! experiment fan-out — are embarrassingly parallel, but the build
-//! environment has no `rayon`. This crate provides the std-only substrate:
+//! coverage scans, per-tree ensemble fitting, experiment fan-out — are
+//! embarrassingly parallel, but the build environment has no `rayon`.
+//! This crate provides the std-only substrate:
 //!
 //! - a scoped [`pool::ThreadPool`] (shared lazily as one global pool),
 //! - data-parallel helpers [`par_map`] / [`par_chunks_map`] /

@@ -9,7 +9,7 @@
 //!
 //! Threads blocked in [`Scope`]'s wait *help*: they execute queued jobs
 //! (possibly belonging to other scopes) instead of idling, so nested
-//! parallelism — a parallel cross-validation fold training a parallel random
+//! parallelism — a parallel experiment run training a parallel random
 //! forest, say — cannot deadlock the pool.
 
 use std::collections::VecDeque;

@@ -7,9 +7,9 @@
 //! - [`http`] — a minimal, vendored HTTP/1.1 line protocol on std-only
 //!   TCP (the offline-deps rule bans real HTTP stacks);
 //! - [`registry`] — a model registry holding fitted models plus their
-//!   schema and boundary guard, with **lock-free snapshot swaps**:
-//!   publishing a retrained model is one atomic pointer store, and
-//!   in-flight readers are never blocked;
+//!   schema and boundary guard, with **atomic snapshot swaps**:
+//!   publishing a retrained model swaps one `Arc` under a mutex, and
+//!   in-flight readers keep the generation they resolved;
 //! - [`boundary`] — request validation with the PR 6 rule engine: rows are
 //!   parsed against the model's schema and swept through a compiled
 //!   not-null/range guard clause (`CompiledClause`, the `try_*` path), so

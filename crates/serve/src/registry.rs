@@ -1,24 +1,17 @@
-//! The model registry: named models with lock-free snapshot swaps.
+//! The model registry: named models with atomic snapshot swaps.
 //!
-//! A [`ModelEntry`] holds the *current* [`Snapshot`] as one raw pointer in
-//! an `AtomicPtr` — the "Arc generation pointer" of the ROADMAP item, with
-//! the reclamation problem solved by construction instead of by protocol:
-//! every published snapshot is boxed into an append-only history owned by
-//! the entry, so the pointee of `current` is always alive for as long as
-//! the entry is, and readers can dereference it with a plain `Acquire`
-//! load. A publish is therefore one atomic store and a reader is one
-//! atomic load — **wait-free on both sides**, no lock, no epoch, no
-//! deferred-free list. The cost is one retained snapshot per publish,
-//! freed when the entry drops; FROTE edits are human-scale rare next to
-//! score traffic, so the bound is the number of expert edits, not the
-//! request rate.
+//! A [`ModelEntry`] holds the *current* [`Snapshot`] as an
+//! `Arc<Snapshot>` behind a mutex. A reader locks only long enough to
+//! clone the `Arc`; a publish locks only long enough to swap it. A score
+//! request resolves [`ModelEntry::current`] once to validate its rows and
+//! the batcher once per micro-batch, never once per row. A generation is
+//! freed when the last batch or request still holding its `Arc` finishes,
+//! so memory does not grow with the number of publishes.
 //!
 //! The swap guarantee the integration tests pin: a reader observes either
 //! the old snapshot or the new one, never a mix — model, schema and guard
-//! travel in one `Snapshot`, and the batcher resolves
-//! [`ModelEntry::current`] exactly once per micro-batch.
+//! travel in one `Snapshot`.
 
-use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use frote::{Frote, FroteConfig};
@@ -113,28 +106,18 @@ pub trait Refitter: Send + Sync {
     fn refit(&self, rule: Option<&str>) -> Result<Snapshot, ServeError>;
 }
 
-/// One named model: the lock-free current pointer plus the append-only
-/// snapshot history that keeps every published generation alive.
+/// One named model: its current snapshot and optional refitter.
 pub struct ModelEntry {
     name: String,
-    current: AtomicPtr<Snapshot>,
-    // The boxes are load-bearing: `current` points into them, and a
-    // `Vec<Snapshot>` would move every pointee when it reallocates.
-    #[allow(clippy::vec_box)]
-    history: Mutex<Vec<Box<Snapshot>>>,
+    current: Mutex<Arc<Snapshot>>,
     refitter: Option<Box<dyn Refitter>>,
 }
 
 impl ModelEntry {
-    fn new(name: String, first: Snapshot, refitter: Option<Box<dyn Refitter>>) -> ModelEntry {
-        let entry = ModelEntry {
-            name,
-            current: AtomicPtr::new(std::ptr::null_mut()),
-            history: Mutex::new(Vec::new()),
-            refitter,
-        };
-        entry.publish(first);
-        entry
+    fn new(name: String, mut first: Snapshot, refitter: Option<Box<dyn Refitter>>) -> ModelEntry {
+        first.generation = 1;
+        SWAPS.inc();
+        ModelEntry { name, current: Mutex::new(Arc::new(first)), refitter }
     }
 
     /// The model's registry name.
@@ -142,41 +125,22 @@ impl ModelEntry {
         &self.name
     }
 
-    /// The current snapshot — one `Acquire` load, wait-free, never blocked
-    /// by a concurrent publish. The borrow is tied to `&self`; the pointee
-    /// lives in the entry's history until the entry itself drops.
-    pub fn current(&self) -> &Snapshot {
-        let p = self.current.load(Ordering::Acquire);
-        // SAFETY: `p` is never null after construction (the constructor
-        // publishes the first snapshot before the entry is shared) and
-        // always points into a `Box<Snapshot>` held by `self.history`,
-        // which is append-only: boxes are dropped only when `self` drops,
-        // and the returned lifetime is bounded by `&self`. The `Release`
-        // store in `publish` pairs with this `Acquire` load, so the
-        // snapshot's fields are fully visible.
-        unsafe { &*p }
+    /// The current snapshot. The returned `Arc` keeps that generation
+    /// alive, unchanged, however many publishes follow.
+    pub fn current(&self) -> Arc<Snapshot> {
+        Arc::clone(&lock(&self.current))
     }
 
     /// Publishes `snapshot` as the next generation and returns its number.
     /// In-flight readers keep scoring against the snapshot they already
     /// resolved; new resolutions see the new generation immediately.
     pub fn publish(&self, mut snapshot: Snapshot) -> u64 {
-        let mut history = lock(&self.history);
-        let generation = history.len() as u64 + 1;
+        let mut current = lock(&self.current);
+        let generation = current.generation() + 1;
         snapshot.generation = generation;
-        let boxed = Box::new(snapshot);
-        let ptr: *mut Snapshot = &*boxed as *const Snapshot as *mut Snapshot;
-        // Keep the box alive *before* exposing the pointer: a reader that
-        // wins the race right after the store must find a live pointee.
-        history.push(boxed);
-        self.current.store(ptr, Ordering::Release);
+        *current = Arc::new(snapshot);
         SWAPS.inc();
         generation
-    }
-
-    /// Number of generations published so far.
-    pub fn generations(&self) -> u64 {
-        lock(&self.history).len() as u64
     }
 
     /// Retrains through the entry's [`Refitter`] and publishes the result.
@@ -391,7 +355,6 @@ mod tests {
         let g = entry.publish(snapshot(&ds));
         assert_eq!(g, 2);
         assert_eq!(entry.current().generation(), 2);
-        assert_eq!(entry.generations(), 2);
         assert_eq!(registry.list(), vec![("car".to_string(), 2, ds.n_rows())]);
     }
 
@@ -403,10 +366,23 @@ mod tests {
         let before = entry.current();
         let g1 = before.generation();
         entry.publish(snapshot(&ds));
-        // The old borrow still reads the old generation: snapshots are
-        // immutable and stay alive in the history.
+        // The old handle still reads the old generation: snapshots are
+        // immutable and the reader's `Arc` keeps them alive.
         assert_eq!(before.generation(), g1);
         assert_eq!(entry.current().generation(), g1 + 1);
+    }
+
+    #[test]
+    fn old_generation_is_freed_when_its_last_reader_drops() {
+        let ds = tiny_ds();
+        let registry = ModelRegistry::new();
+        let entry = registry.register("car", snapshot(&ds), None);
+        let reader = entry.current();
+        let weak = Arc::downgrade(&reader);
+        assert_eq!(entry.publish(snapshot(&ds)), 2);
+        assert_eq!(weak.upgrade().map(|s| s.generation()), Some(1), "reader still holds it");
+        drop(reader);
+        assert!(weak.upgrade().is_none(), "generation 1 outlived its last reader");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! | `POST /score/<model>`   | rows in the body → `generation:<g>` + one class |
 //! |                         | name per row, micro-batched                     |
 //! | `POST /publish/<model>` | optional feedback rule in the body → FROTE edit |
-//! |                         | + retrain + lock-free snapshot swap             |
+//! |                         | + retrain + atomic snapshot swap                |
 //! | `POST /admin/shutdown`  | graceful stop (std has no signal handling)      |
 //!
 //! # Fault hardening

@@ -1,9 +1,9 @@
-//! The black-box contract in action: FROTE edits four different model
-//! families — linear, bagged trees, boosted trees, and a generative Naive
-//! Bayes — through the same `TrainAlgorithm` interface, with no
-//! model-specific code anywhere in the editing loop (paper §3.2: the
-//! algorithm "can thus be used with any classification algorithm that takes
-//! training data as input and produces a classifier as output").
+//! The black-box contract in action: FROTE edits the paper's three model
+//! families — linear, bagged trees and boosted trees — through the same
+//! `TrainAlgorithm` interface, with no model-specific code anywhere in the
+//! editing loop (paper §3.2: the algorithm "can thus be used with any
+//! classification algorithm that takes training data as input and produces
+//! a classifier as output").
 //!
 //! ```sh
 //! cargo run --release --example model_families
@@ -16,7 +16,6 @@ use frote_data::synth::{DatasetKind, SynthConfig};
 use frote_ml::forest::RandomForestTrainer;
 use frote_ml::gbdt::GbdtTrainer;
 use frote_ml::logreg::LogisticRegressionTrainer;
-use frote_ml::naive_bayes::NaiveBayesTrainer;
 use frote_ml::TrainAlgorithm;
 use frote_rules::parse::parse_rule;
 use frote_rules::FeedbackRuleSet;
@@ -37,7 +36,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Box::new(LogisticRegressionTrainer::default()),
         Box::new(RandomForestTrainer::default()),
         Box::new(GbdtTrainer::default()),
-        Box::new(NaiveBayesTrainer::default()),
     ];
 
     println!(
@@ -65,6 +63,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             out.report.instances_added
         );
     }
-    println!("\nsame loop, same rules, four model families — zero model-specific code.");
+    println!("\nsame loop, same rules, three model families — zero model-specific code.");
     Ok(())
 }

@@ -24,7 +24,7 @@
 //! - [`core`] — the FROTE algorithm itself
 //! - [`eval`] — the experiment harness reproducing every table and figure
 //! - [`serve`] — the serving plane: micro-batched scoring over std-only
-//!   TCP/HTTP with lock-free model snapshot swaps
+//!   TCP/HTTP with atomic model snapshot swaps
 
 pub use frote as core;
 pub use frote_data as data;

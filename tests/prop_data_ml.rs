@@ -1,11 +1,10 @@
 //! Property-based tests for the data and ML substrates: dataset/encoder
 //! invariants, split partitions, distance metric axioms, SMOTE convexity,
-//! ball-tree correctness, metric identities, simplex optimality.
+//! metric identities, simplex optimality.
 
 use frote_data::encode::Encoder;
 use frote_data::split::{split_indices, stratified_split};
 use frote_data::{Dataset, Schema, Value};
-use frote_ml::balltree::BallTree;
 use frote_ml::distance::{MixedDistance, MixedMetric};
 use frote_ml::metrics::{accuracy, macro_f1, ConfusionMatrix};
 use frote_opt::{LinearProgram, LpOutcome};
@@ -210,30 +209,6 @@ proptest! {
             prop_assert!((lo_a..=hi_a).contains(&a));
             prop_assert!((lo_b..=hi_b).contains(&b));
         }
-    }
-
-    /// Ball-tree k-NN matches brute force on random point sets.
-    #[test]
-    fn ball_tree_matches_brute(
-        points in proptest::collection::vec(
-            proptest::collection::vec(-10.0..10.0f64, 3), 2..120,
-        ),
-        k in 1usize..8,
-    ) {
-        let tree = BallTree::build(points.clone().into());
-        let query = &points[0];
-        let got: Vec<usize> = tree.k_nearest(query, k).iter().map(|h| h.index).collect();
-        let mut brute: Vec<(f64, usize)> = points
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let d: f64 = p.iter().zip(query).map(|(a, b)| (a - b) * (a - b)).sum();
-                (d.sqrt(), i)
-            })
-            .collect();
-        brute.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-        let expected: Vec<usize> = brute.into_iter().take(k).map(|(_, i)| i).collect();
-        prop_assert_eq!(got, expected);
     }
 
     /// Metric identities: accuracy equals diagonal mass; macro-F1 of perfect

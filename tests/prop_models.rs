@@ -7,9 +7,7 @@ use frote_data::{Dataset, Schema, Value};
 use frote_ml::forest::{ForestParams, RandomForestTrainer};
 use frote_ml::gbdt::{GbdtParams, GbdtTrainer};
 use frote_ml::logreg::{LogRegParams, LogisticRegressionTrainer};
-use frote_ml::naive_bayes::NaiveBayesTrainer;
 use frote_ml::tree::{DecisionTreeTrainer, TreeParams};
-use frote_ml::validate::fold_assignments;
 use frote_ml::TrainAlgorithm;
 use proptest::prelude::*;
 
@@ -32,7 +30,7 @@ prop_compose! {
     }
 }
 
-/// Small/fast versions of all five trainers.
+/// Small/fast versions of all four trainers.
 fn trainers() -> Vec<(&'static str, Box<dyn TrainAlgorithm>)> {
     vec![
         (
@@ -57,7 +55,6 @@ fn trainers() -> Vec<(&'static str, Box<dyn TrainAlgorithm>)> {
             )),
         ),
         ("LGBM", Box::new(GbdtTrainer::new(GbdtParams { n_rounds: 4, ..Default::default() }))),
-        ("NB", Box::new(NaiveBayesTrainer::default())),
     ]
 }
 
@@ -108,21 +105,5 @@ proptest! {
                 );
             }
         }
-    }
-
-    /// Fold assignments are a balanced partition for any (n, k, seed).
-    #[test]
-    fn folds_partition(n in 4usize..200, k in 2usize..6, seed in 0u64..50) {
-        prop_assume!(n >= k);
-        let a = fold_assignments(n, k, seed);
-        prop_assert_eq!(a.len(), n);
-        let mut counts = vec![0usize; k];
-        for &f in &a {
-            prop_assert!(f < k);
-            counts[f] += 1;
-        }
-        let lo = counts.iter().min().unwrap();
-        let hi = counts.iter().max().unwrap();
-        prop_assert!(hi - lo <= 1, "unbalanced folds: {counts:?}");
     }
 }

@@ -1,7 +1,6 @@
 //! End-to-end determinism of the parallelized pipeline: for a fixed seed,
-//! SMOTE generation, batch kNN, cross-validation, experiment runs, and the
-//! full FROTE loop produce byte-identical outputs under
-//! `FROTE_THREADS ∈ {1, 2, 4, 7}`.
+//! SMOTE generation, experiment runs, and the full FROTE loop produce
+//! byte-identical outputs under `FROTE_THREADS ∈ {1, 2, 4, 7}`.
 //!
 //! This is the acceptance gate for the `frote-par` runtime: parallelism may
 //! only change wall-clock, never results.
@@ -11,15 +10,13 @@ use frote_data::synth::{DatasetKind, SynthConfig};
 use frote_eval::runner::{run_many, RunSpec};
 use frote_eval::setup::prepare;
 use frote_eval::{ModelKind, Scale};
-use frote_ml::balltree::BallTree;
 use frote_ml::forest::{ForestParams, RandomForestTrainer};
-use frote_ml::validate::cross_validate;
 use frote_par::test_support::with_threads;
 use frote_rules::parse::parse_rule;
 use frote_rules::FeedbackRuleSet;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// The acceptance criterion: the FROTE pipeline's augmented dataset
 /// (selected + generated instances) and final report are byte-identical
@@ -78,23 +75,17 @@ fn frote_ip_selection_identical_across_thread_counts() {
     }
 }
 
-/// Cross-validation and the experiment runner (both fan out training) keep
-/// their fold/run results identical at any thread count.
+/// The experiment runner (which fans out training) keeps its run results
+/// identical at any thread count.
 #[test]
-fn cross_validation_and_run_many_identical_across_thread_counts() {
-    let cv = || {
-        let ds = DatasetKind::Car.generate(&SynthConfig { n_rows: 200, ..Default::default() });
-        format!("{:?}", cross_validate(&RandomForestTrainer::default(), &ds, 4, 42))
-    };
+fn run_many_identical_across_thread_counts() {
     let runs = || {
         let setup = prepare(DatasetKind::Car, Scale::Smoke, 42);
         let spec = RunSpec::new(ModelKind::Rf, Scale::Smoke);
         format!("{:?}", run_many(&setup, &spec, 3, 77))
     };
-    let cv_ref = with_threads(1, cv);
     let runs_ref = with_threads(1, runs);
     for t in [2, 4] {
-        assert_eq!(with_threads(t, cv), cv_ref, "cross_validate, FROTE_THREADS={t}");
         assert_eq!(with_threads(t, runs), runs_ref, "run_many, FROTE_THREADS={t}");
     }
 }
@@ -115,27 +106,6 @@ proptest! {
                 .unwrap();
             let mut rng = StdRng::seed_from_u64(seed);
             Smote::new(SmoteParams::default()).generate(&ds, minority, n_new, &mut rng)
-        };
-        let reference = with_threads(1, run);
-        for t in [2usize, 7] {
-            prop_assert_eq!(with_threads(t, run), reference.clone(), "FROTE_THREADS={}", t);
-        }
-    }
-
-    /// Ball-tree construction and batch queries are identical across thread
-    /// counts (the parallel subtree merge reproduces the serial layout).
-    #[test]
-    fn balltree_batch_identical_across_thread_counts(seed in 0u64..10_000) {
-        let run = || {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let points: Vec<Vec<f64>> = (0..2500)
-                .map(|_| (0..3).map(|_| rng.random_range(-10.0..10.0)).collect())
-                .collect();
-            let queries: Vec<Vec<f64>> = (0..30)
-                .map(|_| (0..3).map(|_| rng.random_range(-10.0..10.0)).collect())
-                .collect();
-            let tree = BallTree::build(points.into());
-            format!("{:?}", tree.k_nearest_batch(&queries.into(), 8))
         };
         let reference = with_threads(1, run);
         for t in [2usize, 7] {
