@@ -130,6 +130,48 @@ fn run_goss() -> u64 {
     fnv1a(format!("{:?}", model.predict_dataset(&ds)).as_bytes())
 }
 
+/// A two-rule Nursery scenario through the Eq. 5 integer program
+/// (`SelectionStrategy::Ip`): borderline kNN weights against the current
+/// model's predictions, the simplex and the rounding repair, end to end.
+fn run_ip() -> u64 {
+    let ds = DatasetKind::Nursery.generate(&SynthConfig { n_rows: 300, ..Default::default() });
+    let frs = FeedbackRuleSet::new(vec![
+        parse_rule("finance = inconv AND children = more => not_recom", ds.schema()).unwrap(),
+        parse_rule("finance = convenient AND health = priority => spec_prior", ds.schema())
+            .unwrap(),
+    ]);
+    let trainer = RandomForestTrainer::new(ForestParams { n_trees: 10, ..Default::default() }, 42);
+    let config = FroteConfig {
+        iteration_limit: 8,
+        instances_per_iteration: Some(16),
+        selection: SelectionStrategy::Ip,
+        ..Default::default()
+    };
+    let mut rng = StdRng::seed_from_u64(5);
+    let out = Frote::new(config).run(&ds, &trainer, &frs, &mut rng).unwrap();
+    fnv1a(format!("{:?}|{:?}", out.dataset, out.report).as_bytes())
+}
+
+/// The Nursery scenario through joint base+neighbour selection
+/// (`SelectionStrategy::JointNeighbors`): the LR proxy scores pair
+/// midpoints and the generator interpolates towards the pinned neighbour.
+fn run_joint() -> u64 {
+    let ds = DatasetKind::Nursery.generate(&SynthConfig { n_rows: 300, ..Default::default() });
+    let rule =
+        parse_rule("finance = inconv AND children = more => not_recom", ds.schema()).unwrap();
+    let frs = FeedbackRuleSet::new(vec![rule]);
+    let trainer = RandomForestTrainer::new(ForestParams { n_trees: 10, ..Default::default() }, 42);
+    let config = FroteConfig {
+        iteration_limit: 8,
+        instances_per_iteration: Some(12),
+        selection: SelectionStrategy::JointNeighbors,
+        ..Default::default()
+    };
+    let mut rng = StdRng::seed_from_u64(13);
+    let out = Frote::new(config).run(&ds, &trainer, &frs, &mut rng).unwrap();
+    fnv1a(format!("{:?}|{:?}", out.dataset, out.report).as_bytes())
+}
+
 /// Captured from the seed (pre-refactor) tree; see the module docs.
 const GOLDEN_RANDOM: u64 = 0x3d16_ce7c_f8d3_ed96;
 const GOLDEN_ONLINE: u64 = 0x95e7_5f49_4078_f82e;
@@ -137,6 +179,10 @@ const GOLDEN_ONLINE: u64 = 0x95e7_5f49_4078_f82e;
 const GOLDEN_HIST_NUMERIC: u64 = 0x53e4_4701_4ba3_c2e6;
 /// Captured at PR 8 (first GOSS release).
 const GOLDEN_GOSS: u64 = 0xc87e_7f3b_cfc3_9443;
+/// Captured before base-instance selections were memoized: the memo must
+/// reproduce the recomputed selections byte for byte.
+const GOLDEN_IP: u64 = 0xb987_5e83_8dd6_56b2;
+const GOLDEN_JOINT: u64 = 0xdea4_86bc_0bd4_d0a1;
 
 #[test]
 fn pipeline_output_pinned_at_1_and_4_threads() {
@@ -210,6 +256,18 @@ fn histogram_pipeline_pinned_at_1_2_and_4_threads() {
         assert_eq!(
             num, GOLDEN_HIST_NUMERIC,
             "histogram-mode pipeline drifted at {t} threads: {num:#018x}"
+        );
+    }
+}
+
+#[test]
+fn ip_and_joint_selection_pinned_at_1_and_4_threads() {
+    for t in [1usize, 4] {
+        let (ip, joint) = with_threads(t, || (run_ip(), run_joint()));
+        assert_eq!(ip, GOLDEN_IP, "IP-selection pipeline drifted at {t} threads: {ip:#018x}");
+        assert_eq!(
+            joint, GOLDEN_JOINT,
+            "joint-selection pipeline drifted at {t} threads: {joint:#018x}"
         );
     }
 }
