@@ -2,11 +2,16 @@
 //!
 //! Each repro bin used to hand-roll its own `--threads`/`--split-mode`/
 //! `--out` parsing; [`CliOptions`] centralizes the flag set so a new flag
-//! (like `--metrics-out`) lands once instead of once per binary. Parsing
-//! panics with a usage message on unknown input — appropriate for the
-//! small experiment binaries this serves.
+//! (like `--metrics-out`) lands once instead of once per binary. A bad
+//! command line is an error value, not a panic: [`CliOptions::from_env`]
+//! prints it with the usage line and exits 2, and `--help` exits 0.
 
 use frote_eval::Scale;
+
+/// The flag set every experiment binary accepts, as printed by `--help`.
+pub const USAGE: &str = "[--scale smoke|medium|paper] [--all-datasets] [--json] \
+[--threads N] [--split-mode exact|histogram|histogram:<bins>] \
+[--mod-strategy none|relabel|drop] [--out PATH] [--metrics-out PATH] [--help]";
 
 /// Parsed command-line options shared by all experiment binaries.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,6 +45,9 @@ pub struct CliOptions {
     /// the registry on via [`frote_obs::set_metrics_enabled`], the same
     /// process-default pattern as `--threads`/`--split-mode`.
     pub metrics_out: Option<String>,
+    /// `--help` / `-h` was given: [`CliOptions::from_env`] prints the usage
+    /// and exits 0 instead of returning.
+    pub help: bool,
 }
 
 impl Default for CliOptions {
@@ -53,6 +61,7 @@ impl Default for CliOptions {
             split_mode: None,
             out: None,
             metrics_out: None,
+            help: false,
         }
     }
 }
@@ -60,66 +69,79 @@ impl Default for CliOptions {
 impl CliOptions {
     /// Parses options from an argument iterator (excluding `argv[0]`).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage message on unknown arguments — appropriate for
-    /// the small experiment binaries this serves.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> CliOptions {
+    /// An unknown argument, a flag missing its value, or a value the flag
+    /// does not accept; the message names the offending argument.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptions, String> {
         let mut opts = CliOptions::default();
         let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
+            let mut value = || iter.next().ok_or_else(|| format!("{arg} requires a value"));
             match arg.as_str() {
                 "--scale" => {
-                    let v = iter.next().expect("--scale requires a value");
+                    let v = value()?;
                     opts.scale = Scale::parse(&v)
-                        .unwrap_or_else(|| panic!("unknown scale {v:?} (smoke|paper)"));
+                        .ok_or_else(|| format!("unknown scale {v:?} (smoke|medium|paper)"))?;
                 }
                 "--all-datasets" => opts.all_datasets = true,
                 "--json" => opts.json = true,
                 "--threads" => {
-                    let v = iter.next().expect("--threads requires a value");
-                    let n: usize =
-                        v.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
-                            panic!("--threads wants a positive integer, got {v:?}")
-                        });
-                    opts.threads = Some(n);
+                    let v = value()?;
+                    let n = v.parse::<usize>().ok().filter(|&n| n >= 1);
+                    opts.threads =
+                        Some(n.ok_or_else(|| {
+                            format!("--threads wants a positive integer, got {v:?}")
+                        })?);
                 }
                 "--split-mode" => {
-                    let v = iter.next().expect("--split-mode requires a value");
-                    let mode = frote_ml::SplitMode::parse(&v).unwrap_or_else(|| {
-                        panic!("unknown split mode {v:?} (exact|histogram|histogram:<bins>)")
-                    });
+                    let v = value()?;
+                    let mode = frote_ml::SplitMode::parse(&v).ok_or_else(|| {
+                        format!("unknown split mode {v:?} (exact|histogram|histogram:<bins>)")
+                    })?;
                     opts.split_mode = Some(mode);
                 }
-                "--out" => {
-                    let v = iter.next().expect("--out requires a value");
-                    opts.out = Some(v);
-                }
-                "--metrics-out" => {
-                    let v = iter.next().expect("--metrics-out requires a value");
-                    opts.metrics_out = Some(v);
-                }
+                "--out" => opts.out = Some(value()?),
+                "--metrics-out" => opts.metrics_out = Some(value()?),
                 "--mod-strategy" => {
-                    let v = iter.next().expect("--mod-strategy requires a value");
-                    opts.mod_strategy = match v.as_str() {
+                    opts.mod_strategy = match value()?.as_str() {
                         "none" => frote::ModStrategy::None,
                         "relabel" => frote::ModStrategy::Relabel,
                         "drop" => frote::ModStrategy::Drop,
-                        other => panic!("unknown mod strategy {other:?}"),
+                        other => return Err(format!("unknown mod strategy {other:?}")),
                     };
                 }
-                other => panic!("unknown argument {other:?}"),
+                "--help" | "-h" => opts.help = true,
+                other => return Err(format!("unknown argument {other:?}")),
             }
         }
-        opts
+        Ok(opts)
     }
 
     /// Parses from the process arguments and applies side-effect options
-    /// (currently `--threads` → [`frote_par::set_threads`]).
+    /// (currently `--threads` → [`frote_par::set_threads`]). On `--help`
+    /// it prints a usage line built from [`USAGE`] and exits 0; on a bad
+    /// command line it prints the error and the usage line to stderr and
+    /// exits 2.
     pub fn from_env() -> CliOptions {
-        let opts = CliOptions::parse(std::env::args().skip(1));
-        opts.apply();
-        opts
+        let mut args = std::env::args();
+        let bin = args.next().unwrap_or_default();
+        let bin = std::path::Path::new(&bin).file_name().map(|n| n.to_string_lossy().into_owned());
+        let usage = format!("usage: {} {USAGE}", bin.as_deref().unwrap_or("<bin>"));
+        match CliOptions::parse(args) {
+            Ok(opts) if opts.help => {
+                println!("{usage}");
+                std::process::exit(0);
+            }
+            Ok(opts) => {
+                opts.apply();
+                opts
+            }
+            Err(msg) => {
+                eprintln!("error: {msg}\n{usage}");
+                std::process::exit(2);
+            }
+        }
     }
 
     /// Applies side-effect options: installs the `--threads` override into
@@ -161,8 +183,16 @@ impl CliOptions {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> CliOptions {
+    fn try_parse(args: &[&str]) -> Result<CliOptions, String> {
         CliOptions::parse(args.iter().map(|s| s.to_string()))
+    }
+
+    fn parse(args: &[&str]) -> CliOptions {
+        try_parse(args).expect("valid command line")
+    }
+
+    fn parse_err(args: &[&str]) -> String {
+        try_parse(args).expect_err("invalid command line")
     }
 
     #[test]
@@ -228,26 +258,45 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown split mode")]
-    fn bad_split_mode_rejected() {
-        parse(&["--split-mode", "sorted"]);
+    fn help_is_a_flag_not_an_error() {
+        assert!(!parse(&[]).help);
+        assert!(parse(&["--help"]).help);
+        assert!(parse(&["-h"]).help);
+        assert!(parse(&["--scale", "paper", "-h"]).help);
     }
 
     #[test]
-    #[should_panic(expected = "positive integer")]
+    fn unknown_argument_is_an_error() {
+        assert_eq!(parse_err(&["--wat"]), "unknown argument \"--wat\"");
+    }
+
+    #[test]
+    fn missing_values_are_errors() {
+        for flag in
+            ["--scale", "--threads", "--split-mode", "--mod-strategy", "--out", "--metrics-out"]
+        {
+            assert_eq!(parse_err(&[flag]), format!("{flag} requires a value"));
+        }
+    }
+
+    #[test]
+    fn unknown_scale_is_an_error() {
+        assert!(parse_err(&["--scale", "galactic"]).contains("unknown scale"));
+    }
+
+    #[test]
     fn zero_threads_rejected() {
-        parse(&["--threads", "0"]);
+        for bad in ["0", "-1", "two", ""] {
+            assert!(
+                parse_err(&["--threads", bad]).contains("positive integer"),
+                "--threads {bad:?} accepted"
+            );
+        }
     }
 
     #[test]
-    #[should_panic(expected = "unknown argument")]
-    fn unknown_argument_panics() {
-        parse(&["--wat"]);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown scale")]
-    fn unknown_scale_panics() {
-        parse(&["--scale", "galactic"]);
+    fn bad_split_mode_rejected() {
+        assert!(parse_err(&["--split-mode", "sorted"]).contains("unknown split mode"));
+        assert!(parse_err(&["--mod-strategy", "erase"]).contains("unknown mod strategy"));
     }
 }

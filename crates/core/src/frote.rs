@@ -192,11 +192,14 @@ impl Frote {
         let mut best = initial;
         let mut bp = BasePopulation::pre_select(&active, frs, cfg.k);
 
-        // Lines 5-18: the augmentation loop. The select cache keeps the
-        // proxy strategies' encoded matrix — and the trainer's bin codes —
-        // incremental across iterations (base rows encoded/binned once;
-        // only accepted synthetic rows are appended) — bit-identical to
-        // refitting from scratch.
+        // Lines 5-18: the augmentation loop. D̂, the model and the base
+        // population change only on an accept, so the select cache replays
+        // the last rng-free selection (line 7) after every reject: IP's kNN
+        // weights and simplex run once per accept, not once per iteration.
+        // It also keeps the proxy strategies' encoded matrix and the
+        // trainer's bin codes incremental (base rows encoded/binned once;
+        // only accepted synthetic rows are appended) — all bit-identical to
+        // recomputing from scratch.
         let mut iterations = Vec::new();
         let mut total_added = 0usize;
         let mut i = 0usize;

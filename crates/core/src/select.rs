@@ -18,6 +18,7 @@
 use frote_data::{Dataset, EncodedCache, FeatureMatrix};
 use frote_ml::logreg::{LogRegParams, LogisticRegression};
 use frote_ml::{Classifier, TrainCache};
+use frote_obs::Counter;
 use frote_opt::SelectionProblem;
 use frote_rules::{FeedbackRuleSet, RuleMaskCache};
 use frote_smote::borderline::borderline_weights;
@@ -26,23 +27,54 @@ use rand::seq::IndexedRandom;
 
 use crate::preselect::BasePopulation;
 
-/// Memoized state shared by the proxy-based strategies across the
-/// augmentation loop's iterations: the incremental [`EncodedCache`] of the
-/// active dataset plus the LR proxy fitted from it, keyed by the dataset's
-/// row count (the loop only ever appends rows, so an unchanged count means
-/// an unchanged dataset and the proxy — a deterministic function of it — is
-/// reused verbatim). It also carries the loop's [`TrainCache`], so
-/// histogram-mode tree trainers bin base rows once and bin codes append
-/// incrementally exactly like the encoded rows do.
+// Selection-memo metrics (see frote-obs). Both are thread-invariant: a
+// lookup happens once per loop iteration, and which iterations follow an
+// accept is pinned bit-identical at any `FROTE_THREADS`.
+static MEMO_HITS: Counter = Counter::new("select.memo_hits");
+static MEMO_MISSES: Counter = Counter::new("select.memo_misses");
+
+/// State carried across the augmentation loop's iterations. The
+/// select-side entries are keyed by the active dataset's row count: the
+/// loop only ever appends rows, and every accepted candidate appends at
+/// least one, so an unchanged count means an unchanged `D̂` — and, in
+/// Algorithm 1, an unchanged model and base population too, since both are
+/// replaced only on an accept.
+///
+/// - The last selection of an rng-free strategy (`Ip`, `OnlineProxy`,
+///   `JointNeighbors`): each is a deterministic function of `D̂`, the base
+///   population, the rules, `η`, `k` and the model, so after a rejected
+///   candidate the next call returns it verbatim instead of recomputing
+///   it. `Random` draws from the loop's rng and is never memoized: a
+///   replayed draw would shift the random stream.
+/// - The incremental [`EncodedCache`] of `D̂` plus the LR proxy fitted from
+///   it, for `OnlineProxy` and `JointNeighbors` (base rows encoded once,
+///   the fit reused verbatim while the row count holds).
+/// - Train-side: the loop's [`TrainCache`], so histogram-mode tree
+///   trainers bin base rows once and bin codes append incrementally
+///   exactly like the encoded rows do, and the compiled rule-mask plane
+///   the objective reads. These see candidate rows and are rolled back by
+///   [`SelectCache::truncate_train`] on a reject.
 ///
 /// Must only be reused across calls that pass the *same, append-only*
-/// dataset; hand each FROTE run its own cache.
+/// dataset, and — at any one row count — the same rules, base population
+/// and model; hand each FROTE run its own cache.
 #[derive(Debug, Default)]
 pub struct SelectCache {
     encoded: Option<EncodedCache>,
     proxy: Option<(usize, LogisticRegression)>,
+    selection: Option<(MemoKey, Vec<BaseInstance>)>,
     train: TrainCache,
     rules: Option<RuleMaskCache>,
+}
+
+/// What a memoized selection was computed at; the rest of its inputs are
+/// pinned by the [`SelectCache`] contract.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct MemoKey {
+    rows: usize,
+    strategy: SelectionStrategy,
+    eta: usize,
+    k: usize,
 }
 
 impl SelectCache {
@@ -176,9 +208,10 @@ impl SelectionStrategy {
     ///
     /// `model` is the current model `M_D̂` — used only by `Ip` (borderline
     /// weights against its predictions). `OnlineProxy` and `JointNeighbors`
-    /// score with the cached LR proxy instead; `cache` memoizes that
-    /// proxy's encoded matrix and fit across iterations (see
-    /// [`SelectCache`]). `Random` touches neither.
+    /// score with the cached LR proxy instead. For these three strategies
+    /// `cache` memoizes the selection itself: a call at the row count of
+    /// the previous one returns the previous result (see [`SelectCache`]).
+    /// `Random` draws from `rng` and touches neither.
     #[allow(clippy::too_many_arguments)] // mirrors Algorithm 1's parameter list
     pub fn select(
         self,
@@ -195,8 +228,17 @@ impl SelectionStrategy {
         if viable.is_empty() || eta == 0 {
             return Vec::new();
         }
-        match self {
-            SelectionStrategy::Random => random_select(bp, &viable, eta, rng),
+        if self == SelectionStrategy::Random {
+            return random_select(bp, &viable, eta, rng);
+        }
+        let key = MemoKey { rows: ds.n_rows(), strategy: self, eta, k };
+        if let Some((_, picked)) = cache.selection.as_ref().filter(|(at, _)| *at == key) {
+            MEMO_HITS.inc();
+            return picked.clone();
+        }
+        MEMO_MISSES.inc();
+        let picked = match self {
+            SelectionStrategy::Random => unreachable!("random selection returned above"),
             SelectionStrategy::Ip => ip_select(ds, bp, &viable, eta, k, model),
             SelectionStrategy::OnlineProxy => {
                 let (proxy, encoded) = cache.proxy_and_matrix(ds);
@@ -206,7 +248,9 @@ impl SelectionStrategy {
                 let (proxy, _) = cache.proxy_and_matrix(ds);
                 joint_neighbor_select(ds, frs, bp, &viable, eta, k, proxy)
             }
-        }
+        };
+        cache.selection = Some((key, picked.clone()));
+        picked
     }
 }
 
@@ -375,7 +419,7 @@ mod tests {
     use super::*;
     use frote_data::{Schema, Value};
     use frote_rules::{Clause, FeedbackRule, LabelDist, Op, Predicate};
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     struct Stub;
     impl Classifier for Stub {
@@ -563,6 +607,106 @@ mod tests {
             assert!(members.contains(&n), "neighbour outside the rule population");
             assert_ne!(n, b.row, "neighbour must differ from the base");
         }
+    }
+
+    /// [`Stub`] that counts the rows it is asked to predict, so a test can
+    /// tell a recomputed IP selection from a replayed one.
+    #[derive(Default)]
+    struct CountingStub(std::sync::atomic::AtomicUsize);
+
+    impl CountingStub {
+        fn rows_predicted(&self) -> usize {
+            self.0.load(std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    impl Classifier for CountingStub {
+        fn n_classes(&self) -> usize {
+            2
+        }
+        fn predict_proba_into(&self, row: &[Value], out: &mut Vec<f64>) {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Stub.predict_proba_into(row, out);
+        }
+    }
+
+    const MEMOIZED: [SelectionStrategy; 3] =
+        [SelectionStrategy::Ip, SelectionStrategy::OnlineProxy, SelectionStrategy::JointNeighbors];
+
+    #[test]
+    fn memo_replays_the_selection_at_an_unchanged_row_count() {
+        // Recording is process-wide; no other test here reaches a memo
+        // hit, so the hit count below is exact.
+        frote_obs::set_metrics_enabled(true);
+        let (d, f, bp) = setup();
+        let mut rng = StdRng::seed_from_u64(42);
+        for strategy in MEMOIZED {
+            let model = CountingStub::default();
+            let mut cache = SelectCache::new();
+            let first = strategy.select(&d, &f, &bp, 16, 5, &model, &mut cache, &mut rng);
+            let predicted = model.rows_predicted();
+            let hits = MEMO_HITS.value();
+            let again = strategy.select(&d, &f, &bp, 16, 5, &model, &mut cache, &mut rng);
+            assert_eq!(first, again, "{strategy:?} memo changed the selection");
+            assert_eq!(MEMO_HITS.value(), hits + 1, "{strategy:?} second call is one hit");
+            assert_eq!(model.rows_predicted(), predicted, "{strategy:?} hit consulted the model");
+        }
+    }
+
+    #[test]
+    fn appending_a_row_misses_the_memo() {
+        frote_obs::set_metrics_enabled(true);
+        let (mut d, f, bp) = setup();
+        let mut rng = StdRng::seed_from_u64(42);
+        let model = CountingStub::default();
+        let mut cache = SelectCache::new();
+        let misses = MEMO_MISSES.value();
+        SelectionStrategy::Ip.select(&d, &f, &bp, 16, 5, &model, &mut cache, &mut rng);
+        let predicted = model.rows_predicted();
+        assert_eq!(predicted, 20, "the first call predicts every row");
+        d.push_row(&[Value::Num(9.5)], 0).unwrap();
+        let after = SelectionStrategy::Ip.select(&d, &f, &bp, 16, 5, &model, &mut cache, &mut rng);
+        assert_eq!(model.rows_predicted(), predicted + 21, "the grown dataset is re-predicted");
+        // Other tests may miss concurrently; ours are two of them.
+        assert!(MEMO_MISSES.value() >= misses + 2);
+        let fresh = SelectionStrategy::Ip.select(
+            &d,
+            &f,
+            &bp,
+            16,
+            5,
+            &Stub,
+            &mut SelectCache::new(),
+            &mut rng,
+        );
+        assert_eq!(after, fresh);
+    }
+
+    #[test]
+    fn random_is_never_memoized_and_keeps_drawing() {
+        let (d, f, bp) = setup();
+        let mut cache = SelectCache::new();
+        let mut rng = StdRng::seed_from_u64(3);
+        let a = SelectionStrategy::Random.select(&d, &f, &bp, 8, 5, &Stub, &mut cache, &mut rng);
+        let b = SelectionStrategy::Random.select(&d, &f, &bp, 8, 5, &Stub, &mut cache, &mut rng);
+        assert!(cache.selection.is_none(), "a random draw was memoized");
+        assert_ne!(a, b, "the second call replayed the first draw");
+        // Exactly the stream two uncached calls consume.
+        let mut reference = StdRng::seed_from_u64(3);
+        for want in [&a, &b] {
+            let got = SelectionStrategy::Random.select(
+                &d,
+                &f,
+                &bp,
+                8,
+                5,
+                &Stub,
+                &mut SelectCache::new(),
+                &mut reference,
+            );
+            assert_eq!(&got, want);
+        }
+        assert_eq!(rng.next_u64(), reference.next_u64(), "rng streams diverged");
     }
 
     #[test]

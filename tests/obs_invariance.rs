@@ -74,9 +74,32 @@ fn run_hist_numeric() -> u64 {
     fnv1a(format!("{:?}|{:?}", out.dataset, out.report).as_bytes())
 }
 
+/// The two-rule Nursery IP scenario of `tests/golden_pipeline.rs`,
+/// verbatim: 8 iterations, so the run stops at `τ`, and one accept, so the
+/// selection memo both misses and hits.
+fn run_ip() -> u64 {
+    let ds = DatasetKind::Nursery.generate(&SynthConfig { n_rows: 300, ..Default::default() });
+    let frs = FeedbackRuleSet::new(vec![
+        parse_rule("finance = inconv AND children = more => not_recom", ds.schema()).unwrap(),
+        parse_rule("finance = convenient AND health = priority => spec_prior", ds.schema())
+            .unwrap(),
+    ]);
+    let trainer = RandomForestTrainer::new(ForestParams { n_trees: 10, ..Default::default() }, 42);
+    let config = FroteConfig {
+        iteration_limit: 8,
+        instances_per_iteration: Some(16),
+        selection: SelectionStrategy::Ip,
+        ..Default::default()
+    };
+    let mut rng = StdRng::seed_from_u64(5);
+    let out = Frote::new(config).run(&ds, &trainer, &frs, &mut rng).unwrap();
+    fnv1a(format!("{:?}|{:?}", out.dataset, out.report).as_bytes())
+}
+
 /// Must match `tests/golden_pipeline.rs`.
 const GOLDEN_RANDOM: u64 = 0x3d16_ce7c_f8d3_ed96;
 const GOLDEN_HIST_NUMERIC: u64 = 0x53e4_4701_4ba3_c2e6;
+const GOLDEN_IP: u64 = 0xb987_5e83_8dd6_56b2;
 
 /// The `invariant`-tagged slice of a snapshot: counter values plus gauge
 /// bits, in snapshot (name) order — the payload that may not move with the
@@ -115,7 +138,32 @@ fn metrics_on_preserves_goldens_and_invariant_counters_across_threads() {
     // invariant-tagged metrics are identical at every thread count.
     frote_obs::set_metrics_enabled(true);
     let mut reference: Option<Vec<(String, u64)>> = None;
+    let mut ip_reference: Option<Vec<(String, u64)>> = None;
     for t in [1usize, 2, 4] {
+        // The IP scenario alone first, so the memo counters read one run.
+        frote_obs::reset();
+        let ip = with_threads(t, run_ip);
+        assert_eq!(ip, GOLDEN_IP, "recording perturbed the IP golden at {t} threads");
+        let snap = frote_obs::snapshot();
+        let count = |name| snap.counter(name).unwrap_or(0);
+        let (hits, misses) = (count("select.memo_hits"), count("select.memo_misses"));
+        assert_eq!(count("frote.iterations"), 8, "the IP run stops at τ");
+        assert!(hits > 0 && misses > 0, "memo hits {hits}, misses {misses} at {t} threads");
+        // One lookup per iteration; a miss only on the first iteration and
+        // after an accept.
+        assert_eq!(hits + misses, count("frote.iterations"));
+        assert!(misses <= count("frote.accepted") + 1, "{misses} memo misses at {t} threads");
+        // Metrics registered by an earlier leg read zero after `reset`.
+        let mut invariant = invariant_slice(&snap);
+        invariant.retain(|&(_, v)| v != 0);
+        match &ip_reference {
+            None => ip_reference = Some(invariant),
+            Some(want) => assert_eq!(
+                want, &invariant,
+                "invariant-tagged metrics of the IP run moved between thread counts (at {t})"
+            ),
+        }
+
         frote_obs::reset();
         let (a, b) = with_threads(t, || (run_random(), run_hist_numeric()));
         assert_eq!(a, GOLDEN_RANDOM, "recording perturbed the golden at {t} threads");
