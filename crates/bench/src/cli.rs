@@ -9,7 +9,7 @@
 use frote_eval::Scale;
 
 /// The flag set every experiment binary accepts, as printed by `--help`.
-pub const USAGE: &str = "[--scale smoke|medium|paper] [--all-datasets] [--json] \
+const USAGE: &str = "[--scale smoke|medium|paper] [--all-datasets] [--json] \
 [--threads N] [--split-mode exact|histogram|histogram:<bins>] \
 [--mod-strategy none|relabel|drop] [--out PATH] [--metrics-out PATH] [--help]";
 
@@ -120,7 +120,7 @@ impl CliOptions {
 
     /// Parses from the process arguments and applies side-effect options
     /// (currently `--threads` → [`frote_par::set_threads`]). On `--help`
-    /// it prints a usage line built from [`USAGE`] and exits 0; on a bad
+    /// it prints a usage line listing every flag and exits 0; on a bad
     /// command line it prints the error and the usage line to stderr and
     /// exits 2.
     pub fn from_env() -> CliOptions {

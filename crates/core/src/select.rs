@@ -56,25 +56,16 @@ static MEMO_MISSES: Counter = Counter::new("select.memo_misses");
 ///   [`SelectCache::truncate_train`] on a reject.
 ///
 /// Must only be reused across calls that pass the *same, append-only*
-/// dataset, and — at any one row count — the same rules, base population
-/// and model; hand each FROTE run its own cache.
+/// dataset, the same strategy, rules, `η` and `k`, and — at any one row
+/// count — the same base population and model; hand each FROTE run its
+/// own cache.
 #[derive(Debug, Default)]
 pub struct SelectCache {
     encoded: Option<EncodedCache>,
     proxy: Option<(usize, LogisticRegression)>,
-    selection: Option<(MemoKey, Vec<BaseInstance>)>,
+    selection: Option<(usize, Vec<BaseInstance>)>,
     train: TrainCache,
     rules: Option<RuleMaskCache>,
-}
-
-/// What a memoized selection was computed at; the rest of its inputs are
-/// pinned by the [`SelectCache`] contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct MemoKey {
-    rows: usize,
-    strategy: SelectionStrategy,
-    eta: usize,
-    k: usize,
 }
 
 impl SelectCache {
@@ -231,8 +222,8 @@ impl SelectionStrategy {
         if self == SelectionStrategy::Random {
             return random_select(bp, &viable, eta, rng);
         }
-        let key = MemoKey { rows: ds.n_rows(), strategy: self, eta, k };
-        if let Some((_, picked)) = cache.selection.as_ref().filter(|(at, _)| *at == key) {
+        let rows = ds.n_rows();
+        if let Some((_, picked)) = cache.selection.as_ref().filter(|&&(at, _)| at == rows) {
             MEMO_HITS.inc();
             return picked.clone();
         }
@@ -249,7 +240,7 @@ impl SelectionStrategy {
                 joint_neighbor_select(ds, frs, bp, &viable, eta, k, proxy)
             }
         };
-        cache.selection = Some((key, picked.clone()));
+        cache.selection = Some((rows, picked.clone()));
         picked
     }
 }
