@@ -88,11 +88,11 @@ impl CliOptions {
                 "--json" => opts.json = true,
                 "--threads" => {
                     let v = value()?;
-                    let n = v.parse::<usize>().ok().filter(|&n| n >= 1);
-                    opts.threads =
-                        Some(n.ok_or_else(|| {
+                    let n =
+                        v.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
                             format!("--threads wants a positive integer, got {v:?}")
-                        })?);
+                        })?;
+                    opts.threads = Some(n);
                 }
                 "--split-mode" => {
                     let v = value()?;
