@@ -6,32 +6,44 @@ use frote::SelectionStrategy;
 use frote_bench::CliOptions;
 use frote_data::synth::DatasetKind;
 use frote_eval::aggregate::Summary;
-use frote_eval::runner::{run_many, RunSpec};
-use frote_eval::setup::prepare;
+use frote_eval::runner::{fan_out, run_once, run_seed, RunSpec};
+use frote_eval::setup::{prepare, BenchmarkSetup};
 use frote_eval::{render, ModelKind};
 
 fn main() {
     let opts = CliOptions::from_env();
     let kinds = [DatasetKind::Car, DatasetKind::Mushroom, DatasetKind::Contraceptive];
-    let mut rows = Vec::new();
-    for kind in kinds {
-        let setup = prepare(kind, opts.scale, 42);
+    let strategies = [
+        SelectionStrategy::Random,
+        SelectionStrategy::Ip,
+        SelectionStrategy::OnlineProxy,
+        SelectionStrategy::JointNeighbors,
+    ];
+    let setups: Vec<BenchmarkSetup> =
+        kinds.iter().map(|&kind| prepare(kind, opts.scale, 42)).collect();
+    let mut cells = Vec::new();
+    for setup in &setups {
         for model in [ModelKind::Rf, ModelKind::Lr] {
-            let mut cols = vec![kind.name().to_string(), model.name().to_string()];
-            for strategy in [
-                SelectionStrategy::Random,
-                SelectionStrategy::Ip,
-                SelectionStrategy::OnlineProxy,
-                SelectionStrategy::JointNeighbors,
-            ] {
-                let spec = RunSpec { selection: strategy, ..RunSpec::new(model, opts.scale) };
-                let results = run_many(&setup, &spec, opts.scale.runs(), 70_000);
+            for selection in strategies {
+                let spec = RunSpec { selection, ..RunSpec::new(model, opts.scale) };
+                cells.push(((setup, spec), opts.scale.runs()));
+            }
+        }
+    }
+    let results = fan_out(&cells, |(setup, spec), r| run_once(setup, spec, run_seed(70_000, r)));
+    let rows: Vec<Vec<String>> = cells
+        .chunks(strategies.len())
+        .zip(results.chunks(strategies.len()))
+        .map(|(row, results)| {
+            let ((setup, spec), _) = row[0];
+            let mut cols = vec![setup.kind.name().to_string(), spec.model.name().to_string()];
+            for results in results {
                 let dj: Vec<f64> = results.iter().map(|r| r.delta_j()).collect();
                 cols.push(Summary::of(&dj).display());
             }
-            rows.push(cols);
-        }
-    }
+            cols
+        })
+        .collect();
     println!(
         "{}",
         render::table(

@@ -51,13 +51,17 @@ pub struct BoxStats {
 }
 
 impl BoxStats {
-    /// Computes box statistics; returns `None` for empty input.
+    /// Computes box statistics; returns `None` for empty input. `NaN`s
+    /// sort after every number, so they only reach the statistics whose
+    /// ranks fall among them.
     pub fn of(values: &[f64]) -> Option<BoxStats> {
         if values.is_empty() {
             return None;
         }
         let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
+        // A stable sort on `partial_cmp`: equal numbers (±0 included) keep
+        // their input order. It fails only on a NaN, which ranks last.
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or_else(|| a.is_nan().cmp(&b.is_nan())));
         let q = |p: f64| -> f64 {
             let idx = p * (sorted.len() - 1) as f64;
             let lo = idx.floor() as usize;
@@ -130,5 +134,14 @@ mod tests {
     #[test]
     fn box_stats_empty() {
         assert!(BoxStats::of(&[]).is_none());
+    }
+
+    #[test]
+    fn box_stats_rank_nan_last_and_keep_signed_zero_order() {
+        let b = BoxStats::of(&[3.0, f64::NAN, 1.0, 2.0]).unwrap();
+        assert_eq!((b.lo, b.q1, b.median), (1.0, 1.75, 2.5));
+        assert!(b.q3.is_nan() && b.hi.is_nan());
+        assert!(BoxStats::of(&[-0.0, 0.0]).unwrap().lo.is_sign_negative());
+        assert!(BoxStats::of(&[0.0, -0.0]).unwrap().lo.is_sign_positive());
     }
 }

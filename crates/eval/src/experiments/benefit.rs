@@ -11,12 +11,15 @@ use frote_data::synth::DatasetKind;
 use crate::aggregate::BoxStats;
 use crate::models::ModelKind;
 use crate::render;
-use crate::runner::{run_many, RunSpec};
+use crate::runner::{fan_out, run_once, run_seed, RunSpec};
 use crate::scale::Scale;
 use crate::setup::prepare;
 
 /// The tcf grid of the paper's Figure 2.
 pub const TCF_GRID: [f64; 7] = [0.0, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4];
+
+/// The rule-set sizes each cell pools.
+const FRS_SIZES: [usize; 3] = [1, 3, 5];
 
 /// One Figure 2 cell: box statistics of the three measurement points plus
 /// the supplement's paired differences (Figures 4–8 plot `mod − imp` and
@@ -50,39 +53,47 @@ pub fn run_dataset(
     tcf_grid: &[f64],
 ) -> Vec<BenefitCell> {
     let setup = prepare(kind, scale, 42);
-    let mut cells = Vec::new();
+    let mut specs = Vec::new();
     for &model in &ModelKind::ALL {
         for &tcf in tcf_grid {
+            for (fi, &frs_size) in FRS_SIZES.iter().enumerate() {
+                let spec = RunSpec { frs_size, tcf, mod_strategy, ..RunSpec::new(model, scale) };
+                let seed =
+                    10_000 + fi as u64 * 97 + (tcf * 1000.0) as u64 * 13 + model_tag(model) * 7;
+                specs.push(((spec, seed), scale.runs()));
+            }
+        }
+    }
+    let results = fan_out(&specs, |(spec, seed), r| run_once(&setup, spec, run_seed(*seed, r)));
+    specs
+        .chunks(FRS_SIZES.len())
+        .zip(results.chunks(FRS_SIZES.len()))
+        .map(|(cell, pooled)| {
+            let ((spec, _), _) = cell[0];
             let mut initial = Vec::new();
             let mut modified = Vec::new();
             let mut final_ = Vec::new();
             let mut mod_improvement = Vec::new();
             let mut final_improvement = Vec::new();
-            for (fi, &frs_size) in [1usize, 3, 5].iter().enumerate() {
-                let spec = RunSpec { frs_size, tcf, mod_strategy, ..RunSpec::new(model, scale) };
-                let seed =
-                    10_000 + fi as u64 * 97 + (tcf * 1000.0) as u64 * 13 + model_tag(model) * 7;
-                for r in run_many(&setup, &spec, scale.runs(), seed) {
-                    initial.push(r.initial.j);
-                    modified.push(r.modified.j);
-                    final_.push(r.final_.j);
-                    mod_improvement.push(r.modified.j - r.initial.j);
-                    final_improvement.push(r.final_.j - r.modified.j);
-                }
+            for r in pooled.iter().flatten() {
+                initial.push(r.initial.j);
+                modified.push(r.modified.j);
+                final_.push(r.final_.j);
+                mod_improvement.push(r.modified.j - r.initial.j);
+                final_improvement.push(r.final_.j - r.modified.j);
             }
-            cells.push(BenefitCell {
-                tcf,
-                model,
+            BenefitCell {
+                tcf: spec.tcf,
+                model: spec.model,
                 runs: initial.len(),
                 initial: BoxStats::of(&initial),
                 modified: BoxStats::of(&modified),
                 final_: BoxStats::of(&final_),
                 mod_improvement: BoxStats::of(&mod_improvement),
                 final_improvement: BoxStats::of(&final_improvement),
-            });
-        }
-    }
-    cells
+            }
+        })
+        .collect()
 }
 
 fn model_tag(m: ModelKind) -> u64 {

@@ -19,9 +19,9 @@ use crate::aggregate::Summary;
 use crate::models::ModelKind;
 use crate::protocol::overlay_split;
 use crate::render;
-use crate::runner::RunSpec;
+use crate::runner::{fan_out, RunSpec};
 use crate::scale::Scale;
-use crate::setup::{draw_conflict_free_frs_with_origins, prepare};
+use crate::setup::{draw_conflict_free_frs_with_origins, prepare, BenchmarkSetup};
 
 /// Per-(dataset, model) comparison aggregates.
 #[derive(Debug, Clone)]
@@ -67,86 +67,103 @@ fn overlay_objective(ov: &Overlay<'_>, test: &Dataset, frs: &FeedbackRuleSet) ->
     ObjectiveValue { mra, f1, j }
 }
 
+/// One run of the comparison: the test objectives of Overlay-Soft,
+/// Overlay-Hard and FROTE, in that order, each minus the initial model's
+/// (so `j` is `ΔJ`). `None` when the draw or split degenerates or FROTE
+/// fails.
+fn overlay_run(
+    setup: &BenchmarkSetup,
+    model: ModelKind,
+    scale: Scale,
+    run: usize,
+) -> Option<[ObjectiveValue; 3]> {
+    let mut rng = StdRng::seed_from_u64(40_000 + run as u64 * 17);
+    let (frs, origins) = draw_conflict_free_frs_with_origins(setup, 3, &mut rng);
+    if frs.is_empty() {
+        return None;
+    }
+    let triggers: Vec<Option<frote_rules::Clause>> = origins.into_iter().map(Some).collect();
+    let (train, test) = overlay_split(&setup.dataset, &frs, &mut rng);
+    if train.n_rows() < 20 || test.is_empty() {
+        return None;
+    }
+    let trainer = model.trainer(scale);
+    let initial_model = trainer.train(&train);
+    let initial = paper_j(initial_model.as_ref(), &test, &frs);
+
+    // Overlay (both modes) wraps the initial model. The patch layer
+    // triggers on the ORIGINAL explanation-rule regions in addition to the
+    // feedback clauses (Daly et al.'s design), which is what costs it
+    // outside-coverage F-score when the feedback deviates from the model.
+    let soft = Overlay::with_triggers(
+        initial_model.as_ref(),
+        frs.clone(),
+        triggers.clone(),
+        OverlayMode::Soft,
+        &train,
+    );
+    let soft_v = overlay_objective(&soft, &test, &frs);
+    let hard = Overlay::with_triggers(
+        initial_model.as_ref(),
+        frs.clone(),
+        triggers,
+        OverlayMode::Hard,
+        &train,
+    );
+    let hard_v = overlay_objective(&hard, &test, &frs);
+
+    // FROTE retrains (relabel strategy, random selection).
+    let spec = RunSpec::new(model, scale);
+    let modified = ModStrategy::Relabel.apply(&train, &frs);
+    let config = FroteConfig {
+        iteration_limit: scale.iteration_limit(),
+        instances_per_iteration: Some(scale.eta(setup.kind)),
+        mod_strategy: ModStrategy::None,
+        selection: spec.selection,
+        ..Default::default()
+    };
+    let out = Frote::new(config).run(&modified, trainer.as_ref(), &frs, &mut rng).ok()?;
+    let frote_v = paper_j(out.model.as_ref(), &test, &frs);
+
+    Some([soft_v, hard_v, frote_v].map(|v| ObjectiveValue {
+        mra: v.mra - initial.mra,
+        f1: v.f1 - initial.f1,
+        j: v.j - initial.j,
+    }))
+}
+
 /// Runs the comparison for the given (binary) datasets.
 pub fn run_datasets(kinds: &[DatasetKind], scale: Scale) -> Vec<OverlayCell> {
-    let mut cells = Vec::new();
-    for &kind in kinds {
-        assert!(kind.is_binary(), "the Overlay comparison uses binary datasets");
-        let setup = prepare(kind, scale, 42);
-        for &model in &ModelKind::ALL {
-            let mut dj = [Vec::new(), Vec::new(), Vec::new()];
-            let mut dm = [Vec::new(), Vec::new(), Vec::new()];
-            let mut df = [Vec::new(), Vec::new(), Vec::new()];
-            for run in 0..scale.overlay_runs() {
-                let mut rng = StdRng::seed_from_u64(40_000 + run as u64 * 17);
-                let (frs, origins) = draw_conflict_free_frs_with_origins(&setup, 3, &mut rng);
-                if frs.is_empty() {
-                    continue;
-                }
-                let triggers: Vec<Option<frote_rules::Clause>> =
-                    origins.into_iter().map(Some).collect();
-                let (train, test) = overlay_split(&setup.dataset, &frs, &mut rng);
-                if train.n_rows() < 20 || test.is_empty() {
-                    continue;
-                }
-                let trainer = model.trainer(scale);
-                let initial_model = trainer.train(&train);
-                let initial = paper_j(initial_model.as_ref(), &test, &frs);
-
-                // Overlay (both modes) wraps the initial model. The patch
-                // layer triggers on the ORIGINAL explanation-rule regions in
-                // addition to the feedback clauses (Daly et al.'s design),
-                // which is what costs it outside-coverage F-score when the
-                // feedback deviates from the model.
-                let soft = Overlay::with_triggers(
-                    initial_model.as_ref(),
-                    frs.clone(),
-                    triggers.clone(),
-                    OverlayMode::Soft,
-                    &train,
-                );
-                let soft_v = overlay_objective(&soft, &test, &frs);
-                let hard = Overlay::with_triggers(
-                    initial_model.as_ref(),
-                    frs.clone(),
-                    triggers,
-                    OverlayMode::Hard,
-                    &train,
-                );
-                let hard_v = overlay_objective(&hard, &test, &frs);
-
-                // FROTE retrains (relabel strategy, random selection).
-                let spec = RunSpec::new(model, scale);
-                let modified = ModStrategy::Relabel.apply(&train, &frs);
-                let config = FroteConfig {
-                    iteration_limit: scale.iteration_limit(),
-                    instances_per_iteration: Some(scale.eta(kind)),
-                    mod_strategy: ModStrategy::None,
-                    selection: spec.selection,
-                    ..Default::default()
-                };
-                let Ok(out) = Frote::new(config).run(&modified, trainer.as_ref(), &frs, &mut rng)
-                else {
-                    continue;
-                };
-                let frote_v = paper_j(out.model.as_ref(), &test, &frs);
-
-                for (slot, v) in [soft_v, hard_v, frote_v].into_iter().enumerate() {
-                    dj[slot].push(v.j - initial.j);
-                    dm[slot].push(v.mra - initial.mra);
-                    df[slot].push(v.f1 - initial.f1);
-                }
-            }
-            cells.push(OverlayCell {
-                kind,
-                model,
-                delta_j: [Summary::of(&dj[0]), Summary::of(&dj[1]), Summary::of(&dj[2])],
-                delta_mra: [Summary::of(&dm[0]), Summary::of(&dm[1]), Summary::of(&dm[2])],
-                delta_f: [Summary::of(&df[0]), Summary::of(&df[1]), Summary::of(&df[2])],
-            });
-        }
-    }
+    let setups: Vec<BenchmarkSetup> = kinds
+        .iter()
+        .map(|&kind| {
+            assert!(kind.is_binary(), "the Overlay comparison uses binary datasets");
+            prepare(kind, scale, 42)
+        })
+        .collect();
+    let cells: Vec<((&BenchmarkSetup, ModelKind), usize)> = setups
+        .iter()
+        .flat_map(|setup| ModelKind::ALL.map(|model| ((setup, model), scale.overlay_runs())))
+        .collect();
+    let results = fan_out(&cells, |&(setup, model), run| overlay_run(setup, model, scale, run));
     cells
+        .iter()
+        .zip(results)
+        .map(|(&((setup, model), _), deltas)| {
+            let per_slot = |metric: fn(&ObjectiveValue) -> f64| {
+                std::array::from_fn(|slot| {
+                    Summary::of(&deltas.iter().map(|d| metric(&d[slot])).collect::<Vec<_>>())
+                })
+            };
+            OverlayCell {
+                kind: setup.kind,
+                model,
+                delta_j: per_slot(|v| v.j),
+                delta_mra: per_slot(|v| v.mra),
+                delta_f: per_slot(|v| v.f1),
+            }
+        })
+        .collect()
 }
 
 /// Renders Table 2 / Table 7 (`ΔJ` columns).

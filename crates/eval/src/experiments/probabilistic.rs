@@ -20,8 +20,9 @@ use crate::aggregate::Summary;
 use crate::models::ModelKind;
 use crate::protocol::tcf_split;
 use crate::render;
+use crate::runner::fan_out;
 use crate::scale::Scale;
-use crate::setup::{draw_conflict_free_frs, prepare};
+use crate::setup::{draw_conflict_free_frs, prepare, BenchmarkSetup};
 
 /// The confidence grid of Table 6.
 pub const P_GRID: [f64; 4] = [0.4, 0.6, 0.8, 1.0];
@@ -55,53 +56,60 @@ fn truth_objective(model: &dyn Classifier, test: &Dataset, frs: &FeedbackRuleSet
     (mra, j)
 }
 
+/// One run at confidence `p`: `(Δmra, ΔJ)` of FROTE over the initial
+/// model, or `None` when the draw or split degenerates or FROTE fails.
+fn probabilistic_run(
+    setup: &BenchmarkSetup,
+    p: f64,
+    scale: Scale,
+    run: usize,
+) -> Option<(f64, f64)> {
+    let mut rng = StdRng::seed_from_u64(50_000 + run as u64 * 23);
+    let frs = draw_conflict_free_frs(setup, 1, &mut rng);
+    if frs.is_empty() {
+        return None;
+    }
+    let (train, test) = tcf_split(&setup.dataset, &frs, 0.0, &mut rng);
+    if train.n_rows() < 20 || test.is_empty() {
+        return None;
+    }
+    let trainer = ModelKind::Lr.trainer(scale);
+    let initial_model = trainer.train(&train);
+    let (mra0, j0) = truth_objective(initial_model.as_ref(), &test, &frs);
+
+    let config = FroteConfig {
+        iteration_limit: scale.iteration_limit(),
+        instances_per_iteration: Some(scale.eta(setup.kind)),
+        mod_strategy: ModStrategy::None, // tcf = 0: nothing to relabel
+        label_policy: LabelPolicy::Calibrated { p },
+        ..Default::default()
+    };
+    let out = Frote::new(config).run(&train, trainer.as_ref(), &frs, &mut rng).ok()?;
+    let (mra1, j1) = truth_objective(out.model.as_ref(), &test, &frs);
+    Some((mra1 - mra0, j1 - j0))
+}
+
 /// Runs the experiment for the given datasets (the paper uses Mushroom,
 /// Wine, and Breast Cancer with LR).
 pub fn run_datasets(kinds: &[DatasetKind], scale: Scale) -> Vec<ProbabilisticCell> {
-    let mut cells = Vec::new();
-    for &kind in kinds {
-        let setup = prepare(kind, scale, 42);
-        for &p in &P_GRID {
-            let mut dmra = Vec::new();
-            let mut dj = Vec::new();
-            for run in 0..scale.runs() {
-                let mut rng = StdRng::seed_from_u64(50_000 + run as u64 * 23);
-                let frs = draw_conflict_free_frs(&setup, 1, &mut rng);
-                if frs.is_empty() {
-                    continue;
-                }
-                let (train, test) = tcf_split(&setup.dataset, &frs, 0.0, &mut rng);
-                if train.n_rows() < 20 || test.is_empty() {
-                    continue;
-                }
-                let trainer = ModelKind::Lr.trainer(scale);
-                let initial_model = trainer.train(&train);
-                let (mra0, j0) = truth_objective(initial_model.as_ref(), &test, &frs);
-
-                let config = FroteConfig {
-                    iteration_limit: scale.iteration_limit(),
-                    instances_per_iteration: Some(scale.eta(kind)),
-                    mod_strategy: ModStrategy::None, // tcf = 0: nothing to relabel
-                    label_policy: LabelPolicy::Calibrated { p },
-                    ..Default::default()
-                };
-                let Ok(out) = Frote::new(config).run(&train, trainer.as_ref(), &frs, &mut rng)
-                else {
-                    continue;
-                };
-                let (mra1, j1) = truth_objective(out.model.as_ref(), &test, &frs);
-                dmra.push(mra1 - mra0);
-                dj.push(j1 - j0);
-            }
-            cells.push(ProbabilisticCell {
-                kind,
+    let setups: Vec<BenchmarkSetup> = kinds.iter().map(|&kind| prepare(kind, scale, 42)).collect();
+    let cells: Vec<((&BenchmarkSetup, f64), usize)> =
+        setups.iter().flat_map(|setup| P_GRID.map(|p| ((setup, p), scale.runs()))).collect();
+    let results = fan_out(&cells, |&(setup, p), run| probabilistic_run(setup, p, scale, run));
+    cells
+        .iter()
+        .zip(results)
+        .map(|(&((setup, p), _), deltas)| {
+            let dmra: Vec<f64> = deltas.iter().map(|d| d.0).collect();
+            let dj: Vec<f64> = deltas.iter().map(|d| d.1).collect();
+            ProbabilisticCell {
+                kind: setup.kind,
                 p,
                 delta_mra: Summary::of(&dmra),
                 delta_j: Summary::of(&dj),
-            });
-        }
-    }
-    cells
+            }
+        })
+        .collect()
 }
 
 /// Renders Table 6.

@@ -11,9 +11,9 @@ use frote_data::synth::DatasetKind;
 
 use crate::models::ModelKind;
 use crate::render;
-use crate::runner::{frote_config, prepare_run, RunSpec};
+use crate::runner::{fan_out, frote_config, prepare_run, RunSpec};
 use crate::scale::Scale;
-use crate::setup::prepare;
+use crate::setup::{prepare, BenchmarkSetup};
 
 /// One progress curve.
 #[derive(Debug, Clone)]
@@ -27,51 +27,62 @@ pub struct ProgressCurve {
     pub points: Vec<(usize, f64)>,
 }
 
+/// One run's trace: `(instances added, test J̄)` after every accepted
+/// iteration, starting from the modified model. `None` when the draw or
+/// split degenerates or FROTE fails.
+fn progress_run(setup: &BenchmarkSetup, spec: &RunSpec, run: usize) -> Option<Vec<(usize, f64)>> {
+    let seed = 60_000 + run as u64 * 41 + (spec.tcf * 100.0) as u64;
+    let mut prepared = prepare_run(setup, spec, seed)?;
+    let trainer = spec.model.trainer(spec.scale);
+    let modified = ModStrategy::Relabel.apply(&prepared.train, &prepared.frs);
+    if modified.n_rows() < 20 {
+        return None;
+    }
+    let start_model = trainer.train(&modified);
+    let start_j = paper_j(start_model.as_ref(), &prepared.test, &prepared.frs).j;
+    let mut trace = vec![(0usize, start_j)];
+    let config = frote_config(setup, spec);
+    let test = prepared.test.clone();
+    let frs = prepared.frs.clone();
+    Frote::new(config)
+        .run_with_observer(
+            &modified,
+            trainer.as_ref(),
+            &frs,
+            &mut prepared.rng,
+            |candidate, record| {
+                if record.accepted {
+                    let j = paper_j(candidate, &test, &frs).j;
+                    trace.push((record.total_added, j));
+                }
+            },
+        )
+        .ok()?;
+    Some(trace)
+}
+
 /// Runs the experiment on one dataset (the paper uses Adult with `|F| = 3`,
 /// relabel, random selection).
 pub fn run_dataset(kind: DatasetKind, scale: Scale, tcf_grid: &[f64]) -> Vec<ProgressCurve> {
     let setup = prepare(kind, scale, 42);
-    let mut curves = Vec::new();
-    for &model in &ModelKind::ALL {
-        for &tcf in tcf_grid {
-            let mut traces: Vec<Vec<(usize, f64)>> = Vec::new();
-            for run in 0..scale.runs() {
-                let spec = RunSpec { tcf, ..RunSpec::new(model, scale) };
-                let seed = 60_000 + run as u64 * 41 + (tcf * 100.0) as u64;
-                let Some(mut prepared) = prepare_run(&setup, &spec, seed) else {
-                    continue;
-                };
-                let trainer = model.trainer(scale);
-                let modified = ModStrategy::Relabel.apply(&prepared.train, &prepared.frs);
-                if modified.n_rows() < 20 {
-                    continue;
-                }
-                let start_model = trainer.train(&modified);
-                let start_j = paper_j(start_model.as_ref(), &prepared.test, &prepared.frs).j;
-                let mut trace = vec![(0usize, start_j)];
-                let config = frote_config(&setup, &spec);
-                let test = prepared.test.clone();
-                let frs = prepared.frs.clone();
-                let result = Frote::new(config).run_with_observer(
-                    &modified,
-                    trainer.as_ref(),
-                    &frs,
-                    &mut prepared.rng,
-                    |candidate, record| {
-                        if record.accepted {
-                            let j = paper_j(candidate, &test, &frs).j;
-                            trace.push((record.total_added, j));
-                        }
-                    },
-                );
-                if result.is_ok() {
-                    traces.push(trace);
-                }
-            }
-            curves.push(ProgressCurve { model, tcf, points: average_traces(&traces) });
-        }
-    }
-    curves
+    let specs: Vec<(RunSpec, usize)> = ModelKind::ALL
+        .iter()
+        .flat_map(|&model| {
+            tcf_grid
+                .iter()
+                .map(move |&tcf| (RunSpec { tcf, ..RunSpec::new(model, scale) }, scale.runs()))
+        })
+        .collect();
+    let traces = fan_out(&specs, |spec, run| progress_run(&setup, spec, run));
+    specs
+        .iter()
+        .zip(traces)
+        .map(|((spec, _), traces)| ProgressCurve {
+            model: spec.model,
+            tcf: spec.tcf,
+            points: average_traces(&traces),
+        })
+        .collect()
 }
 
 /// Pointwise average of traces by ordinal position.

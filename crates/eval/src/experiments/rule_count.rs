@@ -6,7 +6,7 @@ use frote_data::synth::DatasetKind;
 use crate::aggregate::BoxStats;
 use crate::models::ModelKind;
 use crate::render;
-use crate::runner::{run_many, RunSpec};
+use crate::runner::{fan_out, run_once, run_seed, RunSpec};
 use crate::scale::Scale;
 use crate::setup::prepare;
 
@@ -36,11 +36,21 @@ pub struct RuleCountCell {
 /// Runs the experiment on one dataset.
 pub fn run_dataset(kind: DatasetKind, scale: Scale, sizes: &[usize]) -> Vec<RuleCountCell> {
     let setup = prepare(kind, scale, 42);
-    let mut cells = Vec::new();
-    for &model in &ModelKind::ALL {
-        for &frs_size in sizes {
-            let spec = RunSpec { frs_size, tcf: 0.2, ..RunSpec::new(model, scale) };
-            let results = run_many(&setup, &spec, scale.runs(), 20_000 + frs_size as u64 * 31);
+    let specs: Vec<(RunSpec, usize)> = ModelKind::ALL
+        .iter()
+        .flat_map(|&model| {
+            sizes.iter().map(move |&frs_size| {
+                (RunSpec { frs_size, tcf: 0.2, ..RunSpec::new(model, scale) }, scale.runs())
+            })
+        })
+        .collect();
+    let results = fan_out(&specs, |spec, r| {
+        run_once(&setup, spec, run_seed(20_000 + spec.frs_size as u64 * 31, r))
+    });
+    specs
+        .iter()
+        .zip(results)
+        .map(|((spec, _), results)| {
             let initial: Vec<f64> = results.iter().map(|r| r.initial.j).collect();
             let modified: Vec<f64> = results.iter().map(|r| r.modified.j).collect();
             let final_: Vec<f64> = results.iter().map(|r| r.final_.j).collect();
@@ -49,18 +59,17 @@ pub fn run_dataset(kind: DatasetKind, scale: Scale, sizes: &[usize]) -> Vec<Rule
             } else {
                 results.iter().map(|r| r.frs_len as f64).sum::<f64>() / results.len() as f64
             };
-            cells.push(RuleCountCell {
-                frs_size,
-                model,
+            RuleCountCell {
+                frs_size: spec.frs_size,
+                model: spec.model,
                 runs: results.len(),
                 mean_drawn,
                 initial: BoxStats::of(&initial),
                 modified: BoxStats::of(&modified),
                 final_: BoxStats::of(&final_),
-            });
-        }
-    }
-    cells
+            }
+        })
+        .collect()
 }
 
 /// Renders the cells.

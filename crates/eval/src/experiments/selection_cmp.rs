@@ -10,9 +10,9 @@ use frote_data::synth::DatasetKind;
 use crate::aggregate::Summary;
 use crate::models::ModelKind;
 use crate::render;
-use crate::runner::{run_many, RunSpec};
+use crate::runner::{fan_out, run_once, run_seed, RunResult, RunSpec};
 use crate::scale::Scale;
-use crate::setup::prepare;
+use crate::setup::{prepare, BenchmarkSetup};
 
 /// Aggregates for one (dataset, model, strategy) cell.
 #[derive(Debug, Clone)]
@@ -37,32 +37,34 @@ pub struct SelectionCell {
 /// its tcf/|F| grid; here each cell pools `scale.runs()` draws at the shared
 /// defaults (`tcf = 0.2`, `|F| = 3`) per strategy.
 pub fn run_datasets(kinds: &[DatasetKind], scale: Scale) -> Vec<SelectionCell> {
-    let mut cells = Vec::new();
-    for &kind in kinds {
-        let setup = prepare(kind, scale, 42);
+    let setups: Vec<BenchmarkSetup> = kinds.iter().map(|&kind| prepare(kind, scale, 42)).collect();
+    let mut specs = Vec::new();
+    for setup in &setups {
         for &model in &ModelKind::ALL {
             for strategy in [SelectionStrategy::Random, SelectionStrategy::Ip] {
                 let spec = RunSpec { selection: strategy, ..RunSpec::new(model, scale) };
-                let results = run_many(&setup, &spec, scale.runs(), 30_000);
-                cells.push(SelectionCell {
-                    kind,
-                    model,
-                    strategy,
-                    delta_j: Summary::of(&results.iter().map(|r| r.delta_j()).collect::<Vec<_>>()),
-                    delta_mra: Summary::of(
-                        &results.iter().map(|r| r.delta_mra()).collect::<Vec<_>>(),
-                    ),
-                    delta_f1: Summary::of(
-                        &results.iter().map(|r| r.delta_f1()).collect::<Vec<_>>(),
-                    ),
-                    added_fraction: Summary::of(
-                        &results.iter().map(|r| r.added_fraction()).collect::<Vec<_>>(),
-                    ),
-                });
+                specs.push(((setup, spec), scale.runs()));
             }
         }
     }
-    cells
+    let results = fan_out(&specs, |(setup, spec), r| run_once(setup, spec, run_seed(30_000, r)));
+    specs
+        .iter()
+        .zip(results)
+        .map(|(((setup, spec), _), results)| {
+            let summary =
+                |f: fn(&RunResult) -> f64| Summary::of(&results.iter().map(f).collect::<Vec<_>>());
+            SelectionCell {
+                kind: setup.kind,
+                model: spec.model,
+                strategy: spec.selection,
+                delta_j: summary(RunResult::delta_j),
+                delta_mra: summary(RunResult::delta_mra),
+                delta_f1: summary(RunResult::delta_f1),
+                added_fraction: summary(RunResult::added_fraction),
+            }
+        })
+        .collect()
 }
 
 fn pair(

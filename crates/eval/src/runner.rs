@@ -163,19 +163,38 @@ pub fn run_once(setup: &BenchmarkSetup, spec: &RunSpec, run_seed: u64) -> Option
     })
 }
 
-/// Convenience: collects the non-degenerate results of `runs` seeded runs.
+/// The seed of run `run` of a cell whose runs start at `base_seed`.
+pub fn run_seed(base_seed: u64, run: usize) -> u64 {
+    base_seed.wrapping_add(run as u64 * 1001)
+}
+
+/// Runs every experimental cell's runs as one flat job list and returns,
+/// per cell, the non-degenerate results in run order.
 ///
-/// Runs are independent (each is a pure function of its seed), so they fan
-/// out across `frote_par::threads()` threads; the collected results are
-/// identical to the serial loop, in run order, at any thread count.
-pub fn run_many(
-    setup: &BenchmarkSetup,
-    spec: &RunSpec,
-    runs: usize,
-    base_seed: u64,
-) -> Vec<RunResult> {
-    let seeds: Vec<u64> = (0..runs).map(|r| base_seed.wrapping_add(r as u64 * 1001)).collect();
-    frote_par::par_map(&seeds, |&seed| run_once(setup, spec, seed)).into_iter().flatten().collect()
+/// Cell `c` is `(context, runs)`; its jobs are `job(&context, r)` for
+/// `r in 0..runs`, and a job returning `None` is skipped. Runs are
+/// independent — each is a pure function of its cell and run index — so
+/// all jobs of an experiment share one [`frote_par::par_map`], whose
+/// dynamic claiming keeps every thread busy across cells of uneven cost.
+/// The regrouped results are identical to the serial loop at any thread
+/// count.
+pub fn fan_out<C, R, F>(cells: &[(C, usize)], job: F) -> Vec<Vec<R>>
+where
+    C: Sync,
+    R: Send,
+    F: Fn(&C, usize) -> Option<R> + Sync,
+{
+    let jobs: Vec<(usize, usize)> = cells
+        .iter()
+        .enumerate()
+        .flat_map(|(c, &(_, runs))| (0..runs).map(move |r| (c, r)))
+        .collect();
+    let results = frote_par::par_map(&jobs, |&(c, r)| job(&cells[c].0, r));
+    let mut grouped: Vec<Vec<R>> = cells.iter().map(|_| Vec::new()).collect();
+    for (&(c, _), result) in jobs.iter().zip(results) {
+        grouped[c].extend(result);
+    }
+    grouped
 }
 
 #[cfg(test)]
@@ -219,10 +238,16 @@ mod tests {
     }
 
     #[test]
-    fn run_many_collects() {
+    fn fan_out_groups_by_cell_and_skips_none() {
         let setup = prepare(DatasetKind::Car, Scale::Smoke, 42);
         let spec = RunSpec::new(ModelKind::Rf, Scale::Smoke);
-        let results = run_many(&setup, &spec, 2, 100);
-        assert!(!results.is_empty());
+        let cells = [(100u64, 2), (200, 0), (300, 1)];
+        let grouped = fan_out(&cells, |&base, r| {
+            (r == 0).then(|| run_once(&setup, &spec, run_seed(base, r))).flatten()
+        });
+        assert_eq!(grouped.len(), 3);
+        assert_eq!(grouped[0], vec![run_once(&setup, &spec, 100).unwrap()]);
+        assert!(grouped[1].is_empty());
+        assert_eq!(grouped[2], vec![run_once(&setup, &spec, 300).unwrap()]);
     }
 }

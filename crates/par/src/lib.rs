@@ -16,6 +16,18 @@
 //!   `FROTE_THREADS` env var → [`set_threads`] override →
 //!   `std::thread::available_parallelism()`.
 //!
+//! ## Scheduling
+//!
+//! [`par_map`] hands items out dynamically: it starts one task per thread,
+//! and each task claims the next unclaimed index until none are left, so
+//! items of uneven cost never leave a thread idle behind a static share.
+//!
+//! Parallelism is applied once, at the outermost call. A helper called from
+//! inside a pool task (see [`serial`]) runs its serial path: an experiment
+//! that fans its runs out over the pool trains each run's random forest
+//! with its trees fitted inline, instead of queueing nested tasks that
+//! contend for the same workers and buy no speedup.
+//!
 //! ## Determinism contract
 //!
 //! Every helper in this crate returns results in input order and applies the
@@ -24,7 +36,8 @@
 //! closures keep the same guarantee by drawing from a per-item
 //! [`SeedSplit::stream`] instead of one shared sequential RNG. When
 //! [`threads`] resolves to 1, every helper degrades to a plain serial loop
-//! and the pool is never even started.
+//! and the pool is never even started. Because the serial path computes the
+//! same outputs, running nested helpers inline changes no result either.
 
 #![warn(missing_docs)]
 
@@ -36,6 +49,8 @@ pub use seed::SeedSplit;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
+
+use pool::in_task;
 
 /// Process-wide override set by [`set_threads`] (0 = unset).
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -62,6 +77,14 @@ pub fn threads() -> usize {
     }
 }
 
+/// Whether the parallel helpers run their serial path when called here:
+/// inside a pool task (nested parallelism runs inline), or when [`threads`]
+/// resolves to 1. The task check comes first, so nested calls never read
+/// the environment.
+pub fn serial() -> bool {
+    in_task() || threads() <= 1
+}
+
 /// Sets the config-level thread override (clamped to at least 1). The
 /// `FROTE_THREADS` environment variable still takes precedence, so operators
 /// can pin reproduction runs without touching CLI flags.
@@ -77,7 +100,7 @@ pub fn clear_threads_override() {
 /// The lazily-started global pool shared by all helpers. Sized once, at
 /// first parallel use, to the larger of the machine's parallelism and the
 /// resolved thread count (capped defensively): correctness never depends on
-/// the worker count, only how many chunks run truly concurrently.
+/// the worker count, only how many tasks run truly concurrently.
 fn global_pool() -> &'static ThreadPool {
     static POOL: OnceLock<ThreadPool> = OnceLock::new();
     POOL.get_or_init(|| {
@@ -87,7 +110,7 @@ fn global_pool() -> &'static ThreadPool {
 }
 
 /// Runs `a` and `b`, potentially in parallel, and returns both results.
-/// `a` runs on the calling thread; `b` is offloaded when [`threads`] > 1.
+/// `a` runs on the calling thread; `b` is offloaded unless [`serial`].
 /// Panics in either closure propagate (after both have stopped running).
 pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
@@ -96,7 +119,7 @@ where
     RA: Send,
     RB: Send,
 {
-    if threads() <= 1 {
+    if serial() {
         let ra = a();
         let rb = b();
         return (ra, rb);
@@ -122,38 +145,42 @@ where
 
 /// Applies `f` to every element, in parallel, returning results in input
 /// order — byte-identical to `items.iter().map(f).collect()` for pure `f`.
+///
+/// Items are claimed one at a time from a shared counter by
+/// `min(threads(), items.len())` tasks, so a slow item delays only the task
+/// that claimed it. Which task runs an item depends on the schedule, but
+/// every output lands in its item's slot, so the result never does.
 pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    let t = threads();
-    if t <= 1 || items.len() <= 1 {
+    if items.len() <= 1 || serial() {
         return items.iter().map(f).collect();
     }
-    // Chunk count tracks the thread count, but since `f` is applied per
-    // item and outputs are reassembled in order, chunking never affects the
-    // result — only the schedule.
-    let chunk_size = items.len().div_ceil(t.min(items.len()));
-    let parts: Mutex<Vec<(usize, Vec<U>)>> = Mutex::new(Vec::new());
+    // The counter only hands out indices; outputs are published through
+    // the `parts` mutex and the scope's join, so `Relaxed` suffices.
+    let next = AtomicUsize::new(0);
+    let parts: Mutex<Vec<Vec<(usize, U)>>> = Mutex::new(Vec::new());
     global_pool().scope(|s| {
-        for (ci, chunk) in items.chunks(chunk_size).enumerate() {
-            let parts = &parts;
-            let f = &f;
-            s.spawn(move || {
-                let out: Vec<U> = chunk.iter().map(f).collect();
-                parts.lock().expect("par_map parts poisoned").push((ci, out));
+        for _ in 0..threads().min(items.len()) {
+            s.spawn(|| {
+                let mut done = Vec::new();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(item) = items.get(i) else { break };
+                    done.push((i, f(item)));
+                }
+                parts.lock().expect("par_map parts poisoned").push(done);
             });
         }
     });
-    let mut parts = parts.into_inner().expect("par_map parts poisoned");
-    parts.sort_unstable_by_key(|&(ci, _)| ci);
-    let mut out = Vec::with_capacity(items.len());
-    for (_, part) in parts {
-        out.extend(part);
+    let mut slots: Vec<Option<U>> = std::iter::repeat_with(|| None).take(items.len()).collect();
+    for (i, out) in parts.into_inner().expect("par_map parts poisoned").into_iter().flatten() {
+        slots[i] = Some(out);
     }
-    out
+    slots.into_iter().map(|out| out.expect("every item claimed once")).collect()
 }
 
 /// Splits `items` into fixed-size chunks of `chunk_size`, applies
@@ -163,7 +190,7 @@ where
 /// Chunk boundaries depend only on `chunk_size` — never on the thread
 /// count — so closures may key per-chunk behaviour (e.g. a
 /// [`SeedSplit::stream`] per chunk) on `chunk_index` and remain
-/// thread-count-invariant.
+/// thread-count-invariant. Chunks are scheduled by [`par_map`].
 ///
 /// # Panics
 ///
@@ -175,28 +202,15 @@ where
     F: Fn(usize, &[T]) -> Vec<U> + Sync,
 {
     assert!(chunk_size > 0, "par_chunks_map: chunk_size must be positive");
-    let t = threads();
-    if t <= 1 || items.len() <= chunk_size {
+    if items.len() <= chunk_size || serial() {
         let mut out = Vec::new();
         for (ci, chunk) in items.chunks(chunk_size).enumerate() {
             out.extend(f(ci, chunk));
         }
         return out;
     }
-    let parts: Mutex<Vec<(usize, Vec<U>)>> = Mutex::new(Vec::new());
-    global_pool().scope(|s| {
-        for (ci, chunk) in items.chunks(chunk_size).enumerate() {
-            let parts = &parts;
-            let f = &f;
-            s.spawn(move || {
-                let out = f(ci, chunk);
-                parts.lock().expect("par_chunks_map parts poisoned").push((ci, out));
-            });
-        }
-    });
-    let mut parts = parts.into_inner().expect("par_chunks_map parts poisoned");
-    parts.sort_unstable_by_key(|&(ci, _)| ci);
-    parts.into_iter().flat_map(|(_, part)| part).collect()
+    let chunks: Vec<(usize, &[T])> = items.chunks(chunk_size).enumerate().collect();
+    par_map(&chunks, |&(ci, chunk)| f(ci, chunk)).into_iter().flatten().collect()
 }
 
 /// The index-range counterpart of [`par_chunks_map`], for scans over
@@ -215,15 +229,14 @@ where
     F: Fn(usize, core::ops::Range<usize>) -> Vec<U> + Sync,
 {
     assert!(block_size > 0, "par_blocks_map: block_size must be positive");
-    if threads() <= 1 || n <= block_size {
+    if n <= block_size || serial() {
         let mut out = Vec::new();
         for (bi, start) in (0..n).step_by(block_size).enumerate() {
             out.extend(f(bi, start..(start + block_size).min(n)));
         }
         return out;
     }
-    // One descriptor per block (n / block_size entries, never O(n));
-    // par_map supplies the ordered scheduling.
+    // One descriptor per block (n / block_size entries, never O(n)).
     let blocks: Vec<(usize, usize)> = (0..n).step_by(block_size).enumerate().collect();
     par_map(&blocks, |&(bi, start)| f(bi, start..(start + block_size).min(n)))
         .into_iter()

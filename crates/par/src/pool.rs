@@ -8,10 +8,16 @@
 //! `std::thread::scope`).
 //!
 //! Threads blocked in [`Scope`]'s wait *help*: they execute queued jobs
-//! (possibly belonging to other scopes) instead of idling, so nested
-//! parallelism — a parallel experiment run training a parallel random
-//! forest, say — cannot deadlock the pool.
+//! (possibly belonging to other scopes) instead of idling, so a scope
+//! opened from inside a task cannot deadlock the pool.
+//!
+//! Every task runs with a thread-local *in-task* flag set. The crate's
+//! data-parallel helpers check it (see [`crate::serial`]) and run their
+//! serial path inside a task: a random forest trained inside a parallel
+//! experiment run fits its trees inline, because the outer fan-out already
+//! keeps every worker busy and nested tasks would only add queue traffic.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -35,6 +41,35 @@ static SCOPE_DEPTH: Gauge = Gauge::thread_variant("par.scope_depth");
 /// Always maintained (one relaxed op per coarse-grained scope) so toggling
 /// metrics mid-run can never unbalance it.
 static LIVE_SCOPES: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Set while this thread runs a pool task; see [`in_task`].
+    static IN_TASK: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread is inside a pool task: on a worker running
+/// one, or on a thread running one while it helps in a scope's wait.
+pub(crate) fn in_task() -> bool {
+    IN_TASK.with(Cell::get)
+}
+
+/// Sets the in-task flag for its lifetime and restores the previous value
+/// on drop, so an unwinding task cannot leave its thread flagged — a thread
+/// that helped run a panicking task must still parallelize later top-level
+/// calls.
+struct TaskFlag(bool);
+
+impl TaskFlag {
+    fn enter() -> TaskFlag {
+        TaskFlag(IN_TASK.with(|f| f.replace(true)))
+    }
+}
+
+impl Drop for TaskFlag {
+    fn drop(&mut self) {
+        IN_TASK.with(|f| f.set(self.0));
+    }
+}
 
 struct Shared {
     /// Pending jobs + the shutdown flag.
@@ -185,7 +220,11 @@ impl<'scope, 'env> Scope<'scope, 'env> {
         *self.state.pending.lock().expect("scope state poisoned") += 1;
         let state = Arc::clone(&self.state);
         let task: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
+            let body = move || {
+                let _flag = TaskFlag::enter();
+                f()
+            };
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(body)) {
                 let mut slot = state.panic.lock().expect("panic slot poisoned");
                 slot.get_or_insert(payload);
             }
@@ -236,7 +275,7 @@ impl<'scope, 'env> Scope<'scope, 'env> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     #[test]
     fn scope_runs_borrowed_tasks() {
@@ -339,5 +378,63 @@ mod tests {
             7
         });
         assert_eq!(v, 7);
+    }
+
+    /// Runs `body` on the calling thread if `caller` is it; on any other
+    /// thread, waits until the caller has run `body`. Spawned twice on a
+    /// one-worker pool, it makes the scope's owner run at least one copy in
+    /// its helping wait, whatever the schedule.
+    fn on_caller(caller: std::thread::ThreadId, ran: &AtomicBool, body: impl FnOnce()) {
+        if std::thread::current().id() == caller {
+            ran.store(true, Ordering::SeqCst);
+            body();
+        } else {
+            while !ran.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    #[test]
+    fn panicking_nested_tasks_restore_the_in_task_flag() {
+        let pool = ThreadPool::new(1);
+        let caller = std::thread::current().id();
+        let outer_ran = AtomicBool::new(false);
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        on_caller(caller, &outer_ran, || {
+                            assert!(in_task());
+                            // One flag per nested scope: with a shared one,
+                            // the worker could run both tasks of a later
+                            // scope once an earlier scope had set it.
+                            let inner_ran = AtomicBool::new(false);
+                            let nested = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                                pool.scope(|s| {
+                                    for _ in 0..2 {
+                                        s.spawn(|| {
+                                            on_caller(caller, &inner_ran, || panic!("inner"))
+                                        });
+                                    }
+                                })
+                            }));
+                            assert!(nested.is_err(), "the inner task ran here and panicked");
+                            assert!(in_task(), "the inner panic restored the outer task's flag");
+                            panic!("outer");
+                        })
+                    });
+                }
+            })
+        }));
+        // A failed assertion inside a task would also unwind the scope, so
+        // require the payload of the deliberate panic.
+        let payload = result.expect_err("the outer task ran here and panicked");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"outer"));
+        assert!(!in_task(), "a thread that ran panicking tasks is no longer flagged");
+        assert!(
+            crate::test_support::with_threads(4, || !crate::serial()),
+            "later top-level calls still parallelize"
+        );
     }
 }

@@ -111,3 +111,19 @@ fn join_results_match_serial_execution() {
         assert_eq!(with_threads(t, compute), reference, "FROTE_THREADS={t}");
     }
 }
+
+/// Items of very uneven cost: with dynamic claiming, which thread runs
+/// which item depends on the timing, but every output must still land in
+/// its item's slot.
+#[test]
+fn par_map_with_uneven_item_costs_keeps_input_order() {
+    let items: Vec<u64> = (0..24).collect();
+    let f = |&i: &u64| {
+        std::thread::sleep(std::time::Duration::from_millis(i * 7 % 5));
+        i * i + 3
+    };
+    let reference: Vec<u64> = items.iter().map(f).collect();
+    for t in [2, 4, 7] {
+        assert_eq!(with_threads(t, || par_map(&items, f)), reference, "FROTE_THREADS={t}");
+    }
+}

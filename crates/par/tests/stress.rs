@@ -1,8 +1,9 @@
 //! Loom-free stress tests for the pool: many small scopes in tight
-//! succession, panic propagation under load, and clean shutdown.
+//! succession, panic propagation under load, clean shutdown, and the
+//! invariant that makes `Scope::spawn`'s lifetime erasure sound.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use frote_par::ThreadPool;
@@ -106,4 +107,50 @@ fn deep_nesting_does_not_deadlock() {
     let counter = AtomicUsize::new(0);
     nest(&pool, 5, &counter);
     assert_eq!(counter.load(Ordering::Relaxed), 32);
+}
+
+/// `Scope::spawn` erases its tasks' lifetimes, which is sound only if
+/// `scope` returns after every task has finished — also when a sibling
+/// panicked. Here each task borrows a stack slot and writes it only after
+/// the scope body has returned and a nested scope of its own has finished,
+/// i.e. while `scope` is waiting. A scope that returned early (for example
+/// on the sibling's panic) would leave a task running and its write
+/// missing, or landing on a dead stack frame.
+#[test]
+fn scope_outlives_late_borrowing_writes_despite_a_panicking_sibling() {
+    let pool = ThreadPool::new(3);
+    for round in 0..100 {
+        let running = AtomicUsize::new(0);
+        let body_returned = AtomicBool::new(false);
+        let mut slots = vec![0usize; 6];
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.scope(|s| {
+                s.spawn(|| panic!("round {round} sibling"));
+                for (i, slot) in slots.iter_mut().enumerate() {
+                    let (running, body_returned, pool) = (&running, &body_returned, &pool);
+                    s.spawn(move || {
+                        running.fetch_add(1, Ordering::SeqCst);
+                        while !body_returned.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
+                        }
+                        let inner = AtomicUsize::new(0);
+                        pool.scope(|s| {
+                            for _ in 0..2 {
+                                s.spawn(|| {
+                                    inner.fetch_add(1, Ordering::SeqCst);
+                                });
+                            }
+                        });
+                        *slot = round * 100 + i + inner.load(Ordering::SeqCst);
+                        running.fetch_sub(1, Ordering::SeqCst);
+                    });
+                }
+                body_returned.store(true, Ordering::SeqCst);
+            });
+        }));
+        assert!(result.is_err(), "round {round}: the sibling's panic must propagate");
+        assert_eq!(running.load(Ordering::SeqCst), 0, "round {round}: a task outlived its scope");
+        let expect: Vec<usize> = (0..6).map(|i| round * 100 + i + 2).collect();
+        assert_eq!(slots, expect, "round {round}: a late write is missing");
+    }
 }

@@ -116,7 +116,7 @@ impl Clause {
     /// scan at any thread count.
     pub fn coverage_interpreted(&self, ds: &Dataset) -> Vec<usize> {
         let n = ds.n_rows();
-        if n < PAR_SCAN_MIN || frote_par::threads() <= 1 {
+        if n < PAR_SCAN_MIN || frote_par::serial() {
             return (0..n).filter(|&i| self.covers_row(ds, i)).collect();
         }
         frote_par::par_blocks_map(n, SCAN_BLOCK, |_, rows| {
@@ -128,7 +128,7 @@ impl Clause {
     /// [`Clause::coverage_count`] (see [`Clause::coverage_interpreted`]).
     pub fn coverage_count_interpreted(&self, ds: &Dataset) -> usize {
         let n = ds.n_rows();
-        if n < PAR_SCAN_MIN || frote_par::threads() <= 1 {
+        if n < PAR_SCAN_MIN || frote_par::serial() {
             return (0..n).filter(|&i| self.covers_row(ds, i)).count();
         }
         frote_par::par_blocks_map(n, SCAN_BLOCK, |_, rows| {

@@ -366,7 +366,7 @@ impl CompiledClause {
     pub fn eval(&self, ds: &Dataset) -> RowMask {
         EVAL_RAW.inc();
         let n = ds.n_rows();
-        if n < PAR_SCAN_MIN || frote_par::threads() <= 1 {
+        if n < PAR_SCAN_MIN || frote_par::serial() {
             return RowMask::from_words(self.block_words(ds, 0..n), n);
         }
         let words = frote_par::par_blocks_map(n, MASK_BLOCK, |_, rows| self.block_words(ds, rows));
@@ -455,7 +455,7 @@ impl CompiledClause {
             BINNED_FALLBACK_ROWS.add(fallbacks);
             words
         };
-        if n < PAR_SCAN_MIN || frote_par::threads() <= 1 {
+        if n < PAR_SCAN_MIN || frote_par::serial() {
             return RowMask::from_words(fill(0..n), n);
         }
         RowMask::from_words(frote_par::par_blocks_map(n, MASK_BLOCK, |_, rows| fill(rows)), n)

@@ -7,7 +7,7 @@
 
 use frote::{Frote, FroteConfig, SelectionStrategy};
 use frote_data::synth::{DatasetKind, SynthConfig};
-use frote_eval::runner::{run_many, RunSpec};
+use frote_eval::runner::{fan_out, run_once, run_seed, RunResult, RunSpec};
 use frote_eval::setup::prepare;
 use frote_eval::{ModelKind, Scale};
 use frote_ml::forest::{ForestParams, RandomForestTrainer};
@@ -75,18 +75,26 @@ fn frote_ip_selection_identical_across_thread_counts() {
     }
 }
 
-/// The experiment runner (which fans out training) keeps its run results
-/// identical at any thread count.
+/// The experiment fan-out (whose jobs train models) regroups identical
+/// per-cell results at any thread count. The cells have different run
+/// counts and one skipped run each, so regrouping must keep cell
+/// boundaries and run order, and drop exactly the `None`s.
 #[test]
-fn run_many_identical_across_thread_counts() {
-    let runs = || {
-        let setup = prepare(DatasetKind::Car, Scale::Smoke, 42);
-        let spec = RunSpec::new(ModelKind::Rf, Scale::Smoke);
-        format!("{:?}", run_many(&setup, &spec, 3, 77))
+fn fan_out_identical_across_thread_counts() {
+    let setup = prepare(DatasetKind::Car, Scale::Smoke, 42);
+    let rf = RunSpec::new(ModelKind::Rf, Scale::Smoke);
+    let lr = RunSpec { tcf: 0.0, ..RunSpec::new(ModelKind::Lr, Scale::Smoke) };
+    let cells = [((rf, 77), 3), ((lr, 91), 2)];
+    // Run 1 of every cell is skipped, as a degenerate draw would be.
+    let job = |(spec, base): &(RunSpec, u64), r: usize| {
+        (r != 1).then(|| run_once(&setup, spec, run_seed(*base, r))).flatten()
     };
-    let runs_ref = with_threads(1, runs);
-    for t in [2, 4] {
-        assert_eq!(with_threads(t, runs), runs_ref, "run_many, FROTE_THREADS={t}");
+    let serial: Vec<Vec<RunResult>> = with_threads(1, || {
+        cells.iter().map(|(cell, runs)| (0..*runs).filter_map(|r| job(cell, r)).collect()).collect()
+    });
+    assert_eq!(serial.iter().map(Vec::len).collect::<Vec<_>>(), [2, 1], "no run degenerates");
+    for t in [1, 2, 4] {
+        assert_eq!(with_threads(t, || fan_out(&cells, job)), serial, "fan_out, FROTE_THREADS={t}");
     }
 }
 
