@@ -226,7 +226,7 @@ fn main() -> ExitCode {
     }
 
     // The digest over all asserted responses, in request order — printed
-    // for the CI log and for cross-checking against `BENCH_pr9.json`.
+    // for the CI log, so two runs of one schedule can be compared.
     let mut h = FnvHasher::new();
     for i in 0..opts.requests {
         for label in expected_labels(i) {

@@ -1,7 +1,7 @@
 //! The one shared command-line surface of every experiment binary.
 //!
-//! Each repro bin used to hand-roll its own `--threads`/`--split-mode`/
-//! `--out` parsing; [`CliOptions`] centralizes the flag set so a new flag
+//! Each repro bin used to hand-roll its own `--threads`/`--split-mode`
+//! parsing; [`CliOptions`] centralizes the flag set so a new flag
 //! (like `--metrics-out`) lands once instead of once per binary. A bad
 //! command line is an error value, not a panic: [`CliOptions::from_env`]
 //! prints it with the usage line and exits 2, and `--help` exits 0.
@@ -11,7 +11,7 @@ use frote_eval::Scale;
 /// The flag set every experiment binary accepts, as printed by `--help`.
 const USAGE: &str = "[--scale smoke|medium|paper] [--all-datasets] [--json] \
 [--threads N] [--split-mode exact|histogram|histogram:<bins>] \
-[--mod-strategy none|relabel|drop] [--out PATH] [--metrics-out PATH] [--help]";
+[--mod-strategy none|relabel|drop] [--metrics-out PATH] [--help]";
 
 /// Parsed command-line options shared by all experiment binaries.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,9 +37,6 @@ pub struct CliOptions {
     /// [`frote_ml::set_default_split_mode`] so every tree trainer the
     /// experiment harness constructs picks it up.
     pub split_mode: Option<frote_ml::SplitMode>,
-    /// Output-path override for binaries that write a report file
-    /// (`--out <path>`, currently `perfsmoke`).
-    pub out: Option<String>,
     /// Write a JSON metrics snapshot to this path at the end of the run
     /// (`--metrics-out <path>`). Implies metric recording: `apply` turns
     /// the registry on via [`frote_obs::set_metrics_enabled`], the same
@@ -59,7 +56,6 @@ impl Default for CliOptions {
             json: false,
             threads: None,
             split_mode: None,
-            out: None,
             metrics_out: None,
             help: false,
         }
@@ -101,7 +97,6 @@ impl CliOptions {
                     })?;
                     opts.split_mode = Some(mode);
                 }
-                "--out" => opts.out = Some(value()?),
                 "--metrics-out" => opts.metrics_out = Some(value()?),
                 "--mod-strategy" => {
                     opts.mod_strategy = match value()?.as_str() {
@@ -216,8 +211,6 @@ mod tests {
             "8",
             "--split-mode",
             "histogram:128",
-            "--out",
-            "BENCH_custom.json",
             "--metrics-out",
             "metrics.json",
         ]);
@@ -227,7 +220,6 @@ mod tests {
         assert!(o.json);
         assert_eq!(o.threads, Some(8));
         assert_eq!(o.split_mode, Some(frote_ml::SplitMode::Histogram { max_bins: 128 }));
-        assert_eq!(o.out.as_deref(), Some("BENCH_custom.json"));
         assert_eq!(o.metrics_out.as_deref(), Some("metrics.json"));
     }
 
@@ -268,13 +260,12 @@ mod tests {
     #[test]
     fn unknown_argument_is_an_error() {
         assert_eq!(parse_err(&["--wat"]), "unknown argument \"--wat\"");
+        assert_eq!(parse_err(&["--out", "x.json"]), "unknown argument \"--out\"");
     }
 
     #[test]
     fn missing_values_are_errors() {
-        for flag in
-            ["--scale", "--threads", "--split-mode", "--mod-strategy", "--out", "--metrics-out"]
-        {
+        for flag in ["--scale", "--threads", "--split-mode", "--mod-strategy", "--metrics-out"] {
             assert_eq!(parse_err(&[flag]), format!("{flag} requires a value"));
         }
     }

@@ -7,10 +7,10 @@
 //!   `table5`, `table6`, `table7_8`, `figure9`, `figure10`,
 //!   `ablation_online`, `repro_all`). All accept
 //!   `--scale {smoke,paper}` (default `smoke`).
-//! - **`perfsmoke`** times the parallelized hot paths and writes a
-//!   digest-gated `BENCH_*.json` record; **`benchdiff`** ([`benchgate`])
-//!   compares two records. End-to-end timings live in the separate
-//!   `perfbench` package.
+//! - **`loadgen`** drives a running `frote-serve` with a fixed request
+//!   schedule and checks every response against local predictions.
+//! - [`benchgate::FnvHasher`] is the stable digest the separate
+//!   `perfbench` package pins its outputs with.
 
 #![warn(missing_docs)]
 

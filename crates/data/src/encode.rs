@@ -301,6 +301,15 @@ mod tests {
         for i in 0..ds.n_rows() {
             assert_eq!(m.row(i), enc.encode(&ds.row(i)).as_slice());
         }
+        // Three `ENCODE_BLOCK`s, the last one partial, at any thread count.
+        let ds = crate::synth::DatasetKind::Adult
+            .generate(&crate::synth::SynthConfig { n_rows: 1300, ..Default::default() });
+        let enc = Encoder::fit(&ds);
+        let per_row: Vec<f64> = (0..ds.n_rows()).flat_map(|i| enc.encode(&ds.row(i))).collect();
+        for t in [1usize, 2, 4] {
+            let m = frote_par::test_support::with_threads(t, || enc.encode_dataset(&ds));
+            assert_eq!(m.as_slice(), per_row.as_slice(), "encode drifted at FROTE_THREADS={t}");
+        }
     }
 
     #[test]

@@ -675,47 +675,6 @@ pub(crate) fn gini(counts: &[f64], total: f64) -> f64 {
     1.0 - counts.iter().map(|&c| (c / total) * (c / total)).sum::<f64>()
 }
 
-/// Builds one node's candidate-feature class histogram and returns it in
-/// candidate order (one `n_bins(f) × n_classes` block per entry of
-/// `features`). With `compact = true` this is the production
-/// [`HistContext::class_hist`] path; with `compact = false` it reproduces
-/// the pre-compact baseline — allocate, zero, and reduce the **full**
-/// `total_bins × n_classes` buffer even though only the sampled features'
-/// slots are written — and then gathers the sampled blocks so both modes
-/// return identical values. Kept (hidden) as the measured baseline of the
-/// `rf_hist_subsample` perfsmoke probe and the layout-equivalence tests.
-#[doc(hidden)]
-#[allow(clippy::too_many_arguments)] // bench-harness entry point, not API
-pub fn subsample_hist_probe(
-    binner: &Binner,
-    codes: &BinnedMatrix,
-    labels: &[u32],
-    indices: &[usize],
-    features: &[usize],
-    n_classes: usize,
-    compact: bool,
-) -> Vec<f64> {
-    let ctx = HistContext::new(binner, codes);
-    if compact {
-        return ctx.class_hist(labels, indices, features, n_classes);
-    }
-    // The pre-compact full layout, verbatim: every feature's slots exist
-    // and the whole buffer is zeroed and block-reduced.
-    let size = ctx.total_bins * n_classes;
-    let full = ctx.build_hist(indices, size, |i, h| {
-        let y = labels[i] as usize;
-        for &f in features {
-            h[ctx.slot(i, f) * n_classes + y] += 1.0;
-        }
-    });
-    let mut gathered = Vec::new();
-    for &f in features {
-        let base = ctx.offsets[f];
-        gathered.extend_from_slice(&full[base * n_classes..(base + ctx.n_bins(f)) * n_classes]);
-    }
-    gathered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -971,6 +930,25 @@ mod tests {
         assert_eq!(split, BinSplit::NumLe { feature: 0, bin: 14 });
     }
 
+    /// The pre-compact class histogram, verbatim: every feature's slots
+    /// exist and the whole `total_bins × n_classes` buffer is zeroed and
+    /// block-reduced, though only `features`' slots are written. The
+    /// reference the compact candidate layout is checked against.
+    fn full_layout_hist(
+        ctx: &HistContext,
+        labels: &[u32],
+        indices: &[usize],
+        features: &[usize],
+        n_classes: usize,
+    ) -> Vec<f64> {
+        ctx.build_hist(indices, ctx.total_bins * n_classes, |i, h| {
+            let y = labels[i] as usize;
+            for &f in features {
+                h[ctx.slot(i, f) * n_classes + y] += 1.0;
+            }
+        })
+    }
+
     /// The pre-compact split search, verbatim: scan `features` against the
     /// full-layout histogram with `offsets[f]` bases. The compact search
     /// must reproduce its decisions exactly.
@@ -1011,8 +989,10 @@ mod tests {
         use rand::{Rng, SeedableRng};
         for kind in [DatasetKind::WineQuality, DatasetKind::Adult] {
             let ds = kind.generate(&SynthConfig { n_rows: 800, ..Default::default() });
+            let k = ds.n_classes();
             let binner = Binner::fit(&ds, 32);
             let codes = binner.bin_dataset(&ds);
+            let ctx = HistContext::new(&binner, &codes);
             let mut rng = StdRng::seed_from_u64(17);
             for node in 0..25 {
                 // A forest-like node: a bootstrap row sample and a shuffled
@@ -1022,24 +1002,15 @@ mod tests {
                 let mut features: Vec<usize> = (0..ds.n_features()).collect();
                 features.shuffle(&mut rng);
                 features.truncate((ds.n_features() as f64).sqrt().round().max(1.0) as usize);
-                let compact = subsample_hist_probe(
-                    &binner,
-                    &codes,
-                    ds.labels(),
-                    &indices,
-                    &features,
-                    ds.n_classes(),
-                    true,
-                );
-                let full = subsample_hist_probe(
-                    &binner,
-                    &codes,
-                    ds.labels(),
-                    &indices,
-                    &features,
-                    ds.n_classes(),
-                    false,
-                );
+                let compact = ctx.class_hist(ds.labels(), &indices, &features, k);
+                let full = full_layout_hist(&ctx, ds.labels(), &indices, &features, k);
+                // The sampled features' blocks of the full buffer, in
+                // candidate order.
+                let full: Vec<f64> = features
+                    .iter()
+                    .flat_map(|&f| &full[ctx.offsets[f] * k..(ctx.offsets[f] + ctx.n_bins(f)) * k])
+                    .copied()
+                    .collect();
                 assert_eq!(compact, full, "{}: node {node} layouts disagree", kind.name());
             }
         }
@@ -1070,13 +1041,7 @@ mod tests {
                 let compact_hist = ctx.class_hist(ds.labels(), &indices, &features, k);
                 let compact = ctx.find_best_split(&compact_hist, &features, &parent_counts, k, 2);
                 // Full-layout reference: pre-compact build + pre-compact scan.
-                let size = ctx.total_bins * k;
-                let full_hist = ctx.build_hist(&indices, size, |i, h| {
-                    let y = ds.label(i) as usize;
-                    for &f in &features {
-                        h[ctx.slot(i, f) * k + y] += 1.0;
-                    }
-                });
+                let full_hist = full_layout_hist(&ctx, ds.labels(), &indices, &features, k);
                 let full = full_layout_best_split(&ctx, &full_hist, &features, &parent_counts, 2);
                 assert_eq!(compact, full, "{}: node {node} split drifted", kind.name());
             }

@@ -209,11 +209,12 @@ mod tests {
 
     #[test]
     fn scan_is_thread_count_invariant() {
-        let ds = line_ds(200);
+        let ds = line_ds(700);
         let dist = MixedDistance::fit(&ds, MixedMetric::SmoteNc);
-        // Unsorted candidates with duplicates.
-        let cands: Vec<usize> = (0..200).rev().chain(0..50).collect();
-        for (query, k) in [(0usize, 5), (100, 7), (199, 200)] {
+        // Unsorted candidates with duplicates, spanning three `SCAN_BLOCK`s.
+        let cands: Vec<usize> = (0..700).rev().chain(0..50).collect();
+        let queries = [(0usize, 5), (350, 7), (699, 700)];
+        for (query, k) in queries {
             let flat = k_nearest_of_row(&ds, query, &cands, k, &dist);
             for threads in [1usize, 2, 4] {
                 let hits = frote_par::test_support::with_threads(threads, || {
@@ -221,6 +222,16 @@ mod tests {
                 });
                 assert_eq!(hits, flat, "kNN drifted: query={query} k={k} threads={threads}");
             }
+        }
+        // The batch scan fans queries out over the pool.
+        let rows: Vec<usize> = (0..700).step_by(13).collect();
+        let serial: Vec<Vec<Neighbor>> =
+            rows.iter().map(|&i| k_nearest_of_row(&ds, i, &cands, 9, &dist)).collect();
+        for threads in [1usize, 2, 4] {
+            let batch = frote_par::test_support::with_threads(threads, || {
+                k_nearest_of_rows(&ds, &rows, &cands, 9, &dist)
+            });
+            assert_eq!(batch, serial, "batch kNN drifted at threads={threads}");
         }
     }
 

@@ -535,7 +535,7 @@ pub fn summary_table() -> String {
 }
 
 /// Zero every registered metric (registration is kept) and clear the
-/// event trace. Used between runs by tests and the perfsmoke harness.
+/// event trace. Used between runs by tests and the benchmark harness.
 pub fn reset() {
     for c in lock(&registry().counters).iter() {
         c.value.store(0, Ordering::Relaxed);

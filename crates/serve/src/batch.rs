@@ -30,7 +30,7 @@ use crate::registry::ModelEntry;
 use crate::ServeError;
 
 /// Score requests accepted into the queue. Fixed workloads produce fixed
-/// totals, so `benchdiff` gates this like an output hash.
+/// totals, so the invariance test pins this like an output hash.
 static REQUESTS: Counter = Counter::new("serve.requests");
 /// Rows scored across all batches — also workload-determined.
 static ROWS_SCORED: Counter = Counter::new("serve.rows_scored");

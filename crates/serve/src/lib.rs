@@ -21,7 +21,7 @@
 //!   published snapshot;
 //! - [`server`] — the accept loop, routing, and graceful shutdown;
 //! - [`client`] — small blocking client helpers shared by `loadgen`,
-//!   `perfsmoke`, and the integration tests;
+//!   `perfbench`, and the integration tests;
 //! - [`workload`] — named deterministic dataset+trainer combos so the
 //!   server and the load generator can independently construct
 //!   bit-identical models and assert response digests.
@@ -29,7 +29,7 @@
 //! # Observability
 //!
 //! The plane inherits `frote-obs` wholesale: request/row/reject counters
-//! (thread-invariant — `benchdiff` gates them), batch counters and
+//! (thread-invariant — `tests/obs_invariance.rs` pins them), batch counters and
 //! queue-depth gauges (thread-variant: micro-batch composition depends on
 //! arrival timing), and latency histograms. `GET /metrics` returns the
 //! JSON snapshot; the server bin's `--metrics-out` writes one at shutdown.

@@ -27,7 +27,7 @@ use crate::boundary::RowGuard;
 use crate::ServeError;
 
 /// Published model generations (one per snapshot swap) — deterministic for
-/// a fixed request sequence, so `benchdiff` gates it.
+/// a fixed request sequence, so the invariance test pins it.
 static SWAPS: Counter = Counter::new("serve.swaps");
 
 /// Retrains that errored or panicked and were rolled back: the previous

@@ -1,12 +1,12 @@
 //! Named deterministic serving workloads.
 //!
-//! The serve-path bench gates assert that responses coming back over the
-//! wire are bit-identical to a direct `predict_rows` call. That only works
-//! if the server, the load generator, and the perf probes can each build
-//! the *same* fitted model independently — so a workload names a synthetic
+//! The serve-path checks assert that responses coming back over the wire
+//! are bit-identical to a direct `predict_rows` call. That only works if
+//! the server, the load generator, and the benchmark can each build the
+//! *same* fitted model independently — so a workload names a synthetic
 //! dataset plus a fixed-seed trainer, and everything downstream (loadgen
-//! digests, `BENCH_pr9.json` records, the CI serve-smoke job) keys off the
-//! workload name instead of shipping model bytes around.
+//! digests, `perfbench`'s `serve-mixed`, the CI serve-smoke job) keys off
+//! the workload name instead of shipping model bytes around.
 
 use frote::FroteConfig;
 use frote_data::synth::{DatasetKind, SynthConfig};
@@ -39,7 +39,7 @@ pub struct Workload {
 
 /// The workload catalog. Sizes are serving-scale on purpose: a server
 /// start (or a publish) trains in well under a second, so CI smoke jobs
-/// and perf probes stay fast.
+/// and tests stay fast.
 const CATALOG: &[Workload] = &[
     Workload {
         name: "wine-rf",
@@ -127,7 +127,7 @@ impl Workload {
 
     /// A deterministic probe body: `count` training rows starting at
     /// `start` (wrapping), rendered in the wire row format. Loadgen and
-    /// the perf probes use this so request payloads are reproducible.
+    /// the tests use this so request payloads are reproducible.
     pub fn probe_body(&self, ds: &Dataset, start: usize, count: usize) -> String {
         let indices: Vec<usize> = (0..count).map(|k| (start + k) % ds.n_rows()).collect();
         render_rows(ds, &indices)

@@ -2,25 +2,30 @@
 //!
 //! 1. The golden pipeline hashes are **byte-identical with metrics on** —
 //!    recording observes the computation, it never participates in it.
-//! 2. Counters tagged `invariant` (and invariant gauges) are **identical at
-//!    1, 2, and 4 worker threads** — they count work the determinism
-//!    contract pins, not how the schedule happened to distribute it.
-//!    `thread_variant` metrics (`par.*`, latency histograms) are exempt by
-//!    their tag, which is exactly the split `benchdiff` gates on.
+//! 2. Counters tagged `invariant` (and invariant gauges) are **pinned to
+//!    committed values at 1, 2, and 4 worker threads** — they count work
+//!    the determinism contract pins, not how the schedule happened to
+//!    distribute it, so a moved count is a behaviour change. The pins cover
+//!    the `frote.*`, `*_cache.*`, `hist.*`, `rule_engine.*`, `lr.*`,
+//!    `select.memo_*` and `serve.*` families. `thread_variant` metrics
+//!    (`par.*`, batch counts, latency histograms) are exempt by their tag.
 //!
 //! Everything lives in ONE `#[test]` because the metrics registry is
 //! process-global: concurrent tests in the same binary would interleave
 //! their counts. Integration-test binaries are separate processes, so the
 //! rest of the suite is unaffected.
 
+use std::sync::Arc;
+
 use frote::{Frote, FroteConfig, SelectionStrategy};
 use frote_data::synth::{DatasetKind, SynthConfig};
 use frote_ml::forest::{ForestParams, RandomForestTrainer};
 use frote_ml::tree::TreeParams;
-use frote_ml::SplitMode;
+use frote_ml::{Classifier, SplitMode};
 use frote_par::test_support::with_threads;
 use frote_rules::parse::parse_rule;
 use frote_rules::FeedbackRuleSet;
+use frote_serve::{Client, ModelRegistry, ServeConfig, Server};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -39,6 +44,28 @@ fn run_random() -> u64 {
     let rule = parse_rule("safety = low AND buying = low => acc", ds.schema()).unwrap();
     let frs = FeedbackRuleSet::new(vec![rule]);
     let trainer = RandomForestTrainer::new(ForestParams { n_trees: 10, ..Default::default() }, 42);
+    let config = FroteConfig {
+        iteration_limit: 4,
+        instances_per_iteration: Some(15),
+        selection: SelectionStrategy::Random,
+        ..Default::default()
+    };
+    let mut rng = StdRng::seed_from_u64(9);
+    let out = Frote::new(config).run(&ds, &trainer, &frs, &mut rng).unwrap();
+    fnv1a(format!("{:?}|{:?}", out.dataset, out.report).as_bytes())
+}
+
+/// The categorical histogram-mode scenario of `tests/golden_pipeline.rs`,
+/// verbatim: Car's bins are its categories, so the run reproduces the
+/// exact-mode golden, and appended rows never move the binner — the binned
+/// cache syncs by appending.
+fn run_hist_categorical() -> u64 {
+    let ds = DatasetKind::Car.generate(&SynthConfig { n_rows: 300, ..Default::default() });
+    let rule = parse_rule("safety = low AND buying = low => acc", ds.schema()).unwrap();
+    let frs = FeedbackRuleSet::new(vec![rule]);
+    let tree =
+        TreeParams { max_depth: 3, split_mode: SplitMode::histogram(), ..Default::default() };
+    let trainer = RandomForestTrainer::new(ForestParams { n_trees: 10, tree }, 42);
     let config = FroteConfig {
         iteration_limit: 4,
         instances_per_iteration: Some(15),
@@ -74,6 +101,21 @@ fn run_hist_numeric() -> u64 {
     fnv1a(format!("{:?}|{:?}", out.dataset, out.report).as_bytes())
 }
 
+/// The GOSS-mode GBDT fit of `tests/golden_pipeline.rs`, verbatim: GBDT
+/// histogram trees derive each larger child's histogram by sibling
+/// subtraction, which forest trees (per-node feature sampling) never do.
+fn run_goss() -> u64 {
+    use frote_ml::gbdt::{Gbdt, GbdtParams};
+    let ds = DatasetKind::WineQuality.generate(&SynthConfig { n_rows: 250, ..Default::default() });
+    let params = GbdtParams {
+        n_rounds: 8,
+        split_mode: SplitMode::parse("goss:16:300:200:11").expect("valid goss spec"),
+        ..Default::default()
+    };
+    let model = Gbdt::fit(&ds, &params);
+    fnv1a(format!("{:?}", model.predict_dataset(&ds)).as_bytes())
+}
+
 /// The two-rule Nursery IP scenario of `tests/golden_pipeline.rs`,
 /// verbatim: 8 iterations, so the run stops at `τ`, and one accept, so the
 /// selection memo both misses and hits.
@@ -96,26 +138,157 @@ fn run_ip() -> u64 {
     fnv1a(format!("{:?}|{:?}", out.dataset, out.report).as_bytes())
 }
 
+/// A fixed request sequence through an in-process `wine-rf` server: six
+/// 8-row scores, one rule publish (a FROTE edit plus a retrain), six more
+/// scores. One client sends them in order, so the batcher never holds more
+/// than one request and nothing is shed. That matters: a shed request is
+/// parsed and guard-checked before it is turned away, so shedding would
+/// move `rule_engine.*` with the timing.
+fn run_serve() {
+    let workload = frote_serve::workload::by_name("wine-rf").unwrap();
+    let ds = workload.dataset();
+    let refitter = workload.refitter(false);
+    let registry = Arc::new(ModelRegistry::new());
+    registry.register(
+        workload.name(),
+        refitter.initial_snapshot().unwrap(),
+        Some(Box::new(refitter)),
+    );
+    let server = Arc::new(Server::bind(&ServeConfig::default(), registry).unwrap());
+    let accept = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.run())
+    };
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+    for i in 0..12 {
+        if i == 6 {
+            let generation = client.publish(workload.name(), Some("alcohol >= 12 => 8")).unwrap();
+            assert_eq!(generation, 2, "the one publish is generation 2");
+        }
+        let body = workload.probe_body(&ds, i * 8, 8);
+        let (generation, labels) = client.score(workload.name(), &body).unwrap();
+        assert_eq!(generation, if i < 6 { 1 } else { 2 }, "request {i}");
+        assert_eq!(labels.len(), 8, "request {i}");
+    }
+    drop(client);
+    server.trigger_shutdown();
+    accept.join().unwrap();
+}
+
 /// Must match `tests/golden_pipeline.rs`.
 const GOLDEN_RANDOM: u64 = 0x3d16_ce7c_f8d3_ed96;
 const GOLDEN_HIST_NUMERIC: u64 = 0x53e4_4701_4ba3_c2e6;
+const GOLDEN_GOSS: u64 = 0xc87e_7f3b_cfc3_9443;
 const GOLDEN_IP: u64 = 0xb987_5e83_8dd6_56b2;
 
-/// The `invariant`-tagged slice of a snapshot: counter values plus gauge
-/// bits, in snapshot (name) order — the payload that may not move with the
-/// thread count.
-fn invariant_slice(snap: &frote_obs::MetricsSnapshot) -> Vec<(String, u64)> {
+/// The nonzero invariant metrics of [`run_ip`] alone. Gauges are pinned by
+/// their bits; `frote.objective` holds the last FROTE run's final J.
+const IP_PINS: &[(&str, u64)] = &[
+    ("frote.accepted", 1),
+    ("frote.iterations", 8),
+    ("frote.rejected", 7),
+    ("frote.rows_appended", 16),
+    ("frote.rows_truncated", 112),
+    ("frote.synthetic_rows", 128),
+    ("rule_engine.clauses_compiled", 12),
+    ("rule_engine.eval_raw", 12),
+    ("rule_mask_cache.appended_rows", 128),
+    ("rule_mask_cache.sync.append", 8),
+    ("rule_mask_cache.sync.noop", 1),
+    ("rule_mask_cache.sync.rebuild", 1),
+    ("rule_mask_cache.sync.rebuild.first_fit", 1),
+    ("rule_mask_cache.truncated_rows", 112),
+    ("rule_mask_cache.truncates", 7),
+    ("select.memo_hits", 6),
+    ("select.memo_misses", 2),
+    ("frote.objective", 0x3fe9_a15b_deee_9eda),
+];
+
+/// The nonzero invariant metrics of [`run_random`],
+/// [`run_hist_categorical`], [`run_hist_numeric`] and [`run_goss`], run in
+/// that order.
+const PIPELINE_PINS: &[(&str, u64)] = &[
+    ("binned_cache.appended_rows", 60),
+    ("binned_cache.sync.append", 4),
+    ("binned_cache.sync.rebuild", 3),
+    ("binned_cache.sync.rebuild.fit_changed", 3),
+    ("binned_cache.truncated_rows", 30),
+    ("binned_cache.truncates", 2),
+    ("encoded_cache.sync.noop", 1),
+    ("encoded_cache.sync.rebuild", 2),
+    ("encoded_cache.sync.rebuild.fit_changed", 2),
+    ("frote.accepted", 7),
+    ("frote.iterations", 11),
+    ("frote.rejected", 4),
+    ("frote.rows_appended", 96),
+    ("frote.rows_truncated", 60),
+    ("frote.synthetic_rows", 156),
+    ("hist.bins_zeroed", 157_564),
+    ("hist.nodes_built", 771),
+    ("hist.sibling_subtractions", 165),
+    ("lr.fits", 3),
+    ("lr.iterations", 150),
+    ("lr.max_iter_stops", 3),
+    ("rule_engine.clauses_compiled", 26),
+    ("rule_engine.eval_raw", 26),
+    ("rule_mask_cache.appended_rows", 156),
+    ("rule_mask_cache.sync.append", 11),
+    ("rule_mask_cache.sync.noop", 3),
+    ("rule_mask_cache.sync.rebuild", 3),
+    ("rule_mask_cache.sync.rebuild.first_fit", 3),
+    ("rule_mask_cache.truncated_rows", 60),
+    ("rule_mask_cache.truncates", 4),
+    ("select.memo_misses", 3),
+    ("frote.objective", 0x3fe4_8a4c_d152_a5dc),
+];
+
+/// The nonzero invariant metrics of [`run_serve`].
+const SERVE_PINS: &[(&str, u64)] = &[
+    ("frote.accepted", 2),
+    ("frote.iterations", 2),
+    ("frote.rows_appended", 50),
+    ("frote.synthetic_rows", 50),
+    ("rule_engine.clauses_compiled", 11),
+    ("rule_engine.eval_raw", 20),
+    ("rule_mask_cache.appended_rows", 50),
+    ("rule_mask_cache.sync.append", 2),
+    ("rule_mask_cache.sync.noop", 1),
+    ("rule_mask_cache.sync.rebuild", 1),
+    ("rule_mask_cache.sync.rebuild.first_fit", 1),
+    ("serve.requests", 12),
+    ("serve.rows_scored", 96),
+    ("serve.swaps", 2),
+    ("frote.objective", 0x3fe6_40a1_0a13_1f23),
+];
+
+/// The nonzero `invariant`-tagged slice of a snapshot: counter values plus
+/// gauge bits, in snapshot (name) order — the payload that may not move
+/// with the thread count. Zeros are dropped because metrics registered by
+/// an earlier leg read zero after `reset`.
+fn invariant_slice(snap: &frote_obs::MetricsSnapshot) -> Vec<(&str, u64)> {
     snap.counters
         .iter()
         .filter(|c| c.variance == "invariant")
-        .map(|c| (c.name.clone(), c.value))
+        .map(|c| (c.name.as_str(), c.value))
         .chain(
             snap.gauges
                 .iter()
                 .filter(|g| g.variance == "invariant")
-                .map(|g| (g.name.clone(), g.value.to_bits())),
+                .map(|g| (g.name.as_str(), g.value.to_bits())),
         )
+        .filter(|&(_, v)| v != 0)
         .collect()
+}
+
+/// Asserts the registry's invariant slice equals `pins`.
+fn assert_pinned(leg: &str, threads: usize, pins: &[(&str, u64)]) -> frote_obs::MetricsSnapshot {
+    let snap = frote_obs::snapshot();
+    assert_eq!(
+        invariant_slice(&snap),
+        pins,
+        "invariant metrics of the {leg} leg moved (at {threads} threads)"
+    );
+    snap
 }
 
 #[test]
@@ -134,73 +307,42 @@ fn metrics_on_preserves_goldens_and_invariant_counters_across_threads() {
     );
 
     // (b) Metrics forced on, same scenarios at 1, 2, and 4 threads: the
-    // hashes stay byte-identical to the metrics-off leg, and the
-    // invariant-tagged metrics are identical at every thread count.
+    // hashes stay byte-identical to the metrics-off leg, and each leg's
+    // invariant-tagged metrics equal its committed pins at every thread
+    // count.
     frote_obs::set_metrics_enabled(true);
-    let mut reference: Option<Vec<(String, u64)>> = None;
-    let mut ip_reference: Option<Vec<(String, u64)>> = None;
     for t in [1usize, 2, 4] {
         // The IP scenario alone first, so the memo counters read one run.
         frote_obs::reset();
         let ip = with_threads(t, run_ip);
         assert_eq!(ip, GOLDEN_IP, "recording perturbed the IP golden at {t} threads");
-        let snap = frote_obs::snapshot();
+        let snap = assert_pinned("IP", t, IP_PINS);
         let count = |name| snap.counter(name).unwrap_or(0);
+        // One memo lookup per iteration; a miss only on the first iteration
+        // and after an accept.
         let (hits, misses) = (count("select.memo_hits"), count("select.memo_misses"));
-        assert_eq!(count("frote.iterations"), 8, "the IP run stops at τ");
-        assert!(hits > 0 && misses > 0, "memo hits {hits}, misses {misses} at {t} threads");
-        // One lookup per iteration; a miss only on the first iteration and
-        // after an accept.
         assert_eq!(hits + misses, count("frote.iterations"));
         assert!(misses <= count("frote.accepted") + 1, "{misses} memo misses at {t} threads");
-        // Metrics registered by an earlier leg read zero after `reset`.
-        let mut invariant = invariant_slice(&snap);
-        invariant.retain(|&(_, v)| v != 0);
-        match &ip_reference {
-            None => ip_reference = Some(invariant),
-            Some(want) => assert_eq!(
-                want, &invariant,
-                "invariant-tagged metrics of the IP run moved between thread counts (at {t})"
-            ),
-        }
 
         frote_obs::reset();
-        let (a, b) = with_threads(t, || (run_random(), run_hist_numeric()));
-        assert_eq!(a, GOLDEN_RANDOM, "recording perturbed the golden at {t} threads");
+        let hashes = with_threads(t, || {
+            [run_random(), run_hist_categorical(), run_hist_numeric(), run_goss()]
+        });
         assert_eq!(
-            b, GOLDEN_HIST_NUMERIC,
-            "recording perturbed the histogram golden at {t} threads"
+            hashes,
+            [GOLDEN_RANDOM, GOLDEN_RANDOM, GOLDEN_HIST_NUMERIC, GOLDEN_GOSS],
+            "recording perturbed a golden at {t} threads"
         );
-        let snap = frote_obs::snapshot();
-        // The runs actually counted interior work — accepted iterations,
-        // cache appends, histogram nodes, the online proxy's LR fits and
-        // their gradient steps — not just zeros matching zeros.
-        for name in [
-            "frote.iterations",
-            "frote.accepted",
-            "hist.nodes_built",
-            "rule_mask_cache.sync.append",
-            "lr.fits",
-            "lr.iterations",
-        ] {
-            assert!(
-                snap.counter(name).unwrap_or(0) > 0,
-                "{name} stayed zero at {t} threads — instrumentation not reached"
-            );
-        }
+        let snap = assert_pinned("pipeline", t, PIPELINE_PINS);
         // The proxy fits cap at 50 iterations; each stops there or early.
-        let fits = snap.counter("lr.fits").unwrap_or(0);
-        let stops = snap.counter("lr.max_iter_stops").unwrap_or(0);
-        assert!(stops <= fits, "{stops} max_iter stops for {fits} LR fits");
-        assert!(snap.counter("lr.iterations").unwrap_or(0) <= 50 * fits);
-        let invariant = invariant_slice(&snap);
-        match &reference {
-            None => reference = Some(invariant),
-            Some(want) => assert_eq!(
-                want, &invariant,
-                "invariant-tagged metrics moved between thread counts (at {t} threads)"
-            ),
-        }
+        let count = |name| snap.counter(name).unwrap_or(0);
+        assert!(count("lr.max_iter_stops") <= count("lr.fits"));
+        assert!(count("lr.iterations") <= 50 * count("lr.fits"));
+
+        frote_obs::reset();
+        with_threads(t, run_serve);
+        let snap = assert_pinned("serve", t, SERVE_PINS);
+        assert_eq!(snap.counter("serve.shed_requests").unwrap_or(0), 0, "a request was shed");
     }
     frote_obs::clear_metrics_override();
 }

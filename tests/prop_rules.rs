@@ -211,3 +211,89 @@ fn demo_probe(s: &Schema) -> Dataset {
     }
     ds
 }
+
+/// A schema with non-ASCII feature, category and class names, so the
+/// parser's byte-offset slicing meets multi-byte text on both the accept
+/// and the reject paths.
+fn unicode_schema() -> Schema {
+    Schema::builder("y", vec!["a".into(), "b".into(), "ç".into()])
+        .numeric("x0")
+        .numeric("größe")
+        .categorical("k", vec!["p".into(), "q".into(), "日本".into()])
+        .build()
+}
+
+/// Names, connectives, the arrow, every operator, numbers (`NaN` and `inf`
+/// among them) and non-ASCII words: the alphabet of arbitrary rule text.
+const RULE_TOKENS: &[&str] = &[
+    "x0", "x1", "größe", "k", "y", "p", "q", "日本", "a", "b", "ç", "TRUE", "AND", "and", "aNd",
+    "=>", "=", "!=", ">", ">=", "<", "<=", "0", "-3.5", "1e3", "1e400", "-0", "NaN", "inf", "-inf",
+    "é", "naïve", "ß", "\u{a0}", "",
+];
+
+/// Arbitrary text over [`RULE_TOKENS`]: each token is followed by a space
+/// or glued to the next one.
+fn arb_token_text(max_tokens: usize) -> impl Strategy<Value = String> {
+    proptest::collection::vec((0..RULE_TOKENS.len(), proptest::bool::ANY), 0..max_tokens).prop_map(
+        |tokens| {
+            tokens
+                .into_iter()
+                .map(|(t, glue)| format!("{}{}", RULE_TOKENS[t], if glue { "" } else { " " }))
+                .collect()
+        },
+    )
+}
+
+/// One slot of rule-shaped text: usually a token that fits the slot, one
+/// time in four any token of [`RULE_TOKENS`].
+fn arb_slot(fits: &'static [&'static str]) -> impl Strategy<Value = &'static str> {
+    (0..fits.len(), 0..RULE_TOKENS.len(), 0u32..4).prop_map(move |(i, j, wild)| {
+        if wild == 0 {
+            RULE_TOKENS[j]
+        } else {
+            fits[i]
+        }
+    })
+}
+
+/// Rule-shaped text, `name op value (AND name op value)* => class`, shaped
+/// often enough to parse and wrong often enough to reach every error path;
+/// one time in four with a second `=> a` tail.
+fn arb_rule_text() -> impl Strategy<Value = String> {
+    let predicate = (
+        arb_slot(&["x0", "größe", "k"]),
+        arb_slot(&["=", "!=", ">", ">=", "<", "<="]),
+        arb_slot(&["0", "-3.5", "1e3", "1e400", "-0", "NaN", "inf", "-inf", "p", "q", "日本"]),
+    )
+        .prop_map(|(name, op, value)| format!("{name} {op} {value}"));
+    (
+        proptest::collection::vec(predicate, 1..4),
+        arb_slot(&["AND", "and", "aNd"]),
+        arb_slot(&["a", "b", "ç"]),
+        0u32..4,
+    )
+        .prop_map(|(predicates, and, class, twice)| {
+            let tail = if twice == 0 { " => a" } else { "" };
+            format!("{} => {class}{tail}", predicates.join(&format!(" {and} ")))
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// `parse_rule` over arbitrary text never panics, and every rule it
+    /// accepts displays as text that parses back to a rule displaying the
+    /// same text. Comparing text sidesteps `NaN != NaN`.
+    #[test]
+    fn parse_rule_total_and_display_stable(
+        text in prop_oneof![arb_token_text(10), arb_rule_text()],
+    ) {
+        let s = unicode_schema();
+        if let Ok(rule) = frote_rules::parse::parse_rule(&text, &s) {
+            let shown = rule.display_with(&s).to_string();
+            let again = frote_rules::parse::parse_rule(&shown, &s);
+            prop_assert!(again.is_ok(), "{text:?} parsed, but its display {shown:?} did not");
+            prop_assert_eq!(again.unwrap().display_with(&s).to_string(), shown, "from {:?}", text);
+        }
+    }
+}
