@@ -28,6 +28,21 @@
 //! with its trees fitted inline, instead of queueing nested tasks that
 //! contend for the same workers and buy no speedup.
 //!
+//! Inside one FROTE edit there is no outer fan-out, and the parallel calls
+//! are fine-grained — one per LR gradient iteration, GBDT round, forest fit
+//! and predict — so the pool keeps its threads hot between them:
+//!
+//! - the caller of a helper runs tasks too, so the global pool starts
+//!   `max(hw, threads) − 1` workers (at least one; see [`pool_workers`]);
+//! - idle workers and waiting scope owners spin for
+//!   [`pool::SPIN_WINDOW`] (0.5 ms, sized from the measured gap between
+//!   consecutive parallel calls of an edit) before they park, because a
+//!   parked worker took p50 20–50 µs and p99 0.3–6 ms to wake on a 2-vCPU
+//!   host. The protocol is described in [`pool`].
+//!
+//! Neither adds a knob: no environment variable or flag beyond the thread
+//! count resolved by [`threads`].
+//!
 //! ## Determinism contract
 //!
 //! Every helper in this crate returns results in input order and applies the
@@ -60,7 +75,7 @@ static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// 1. the `FROTE_THREADS` environment variable (if set to a positive
 ///    integer),
 /// 2. the [`set_threads`] config override (e.g. a `--threads` CLI flag),
-/// 3. `std::thread::available_parallelism()`.
+/// 3. `std::thread::available_parallelism()`, read once per process.
 ///
 /// A result of 1 means "run serially"; helpers then never touch the pool.
 pub fn threads() -> usize {
@@ -72,9 +87,18 @@ pub fn threads() -> usize {
         }
     }
     match THREAD_OVERRIDE.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        0 => hardware_threads(),
         n => n,
     }
+}
+
+/// `std::thread::available_parallelism()`, cached: on Linux each call reads
+/// the cgroup CPU quota files, ~24 µs on a 2-vCPU host, and `par_map`
+/// resolves [`threads`] twice per call — uncached, about half the time of
+/// one LR gradient iteration on the medium Adult slice.
+fn hardware_threads() -> usize {
+    static HW: OnceLock<usize> = OnceLock::new();
+    *HW.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
 
 /// Whether the parallel helpers run their serial path when called here:
@@ -98,15 +122,21 @@ pub fn clear_threads_override() {
 }
 
 /// The lazily-started global pool shared by all helpers. Sized once, at
-/// first parallel use, to the larger of the machine's parallelism and the
-/// resolved thread count (capped defensively): correctness never depends on
-/// the worker count, only how many tasks run truly concurrently.
+/// first parallel use, to one less than the larger of the machine's
+/// parallelism and the resolved thread count (capped defensively; at least
+/// one worker): the thread that opens a scope runs its tasks too, so the
+/// spinning pool plus that caller put no more runnable threads than cores
+/// on the machine. Correctness never depends on the worker count, only how
+/// many tasks run truly concurrently.
 fn global_pool() -> &'static ThreadPool {
     static POOL: OnceLock<ThreadPool> = OnceLock::new();
-    POOL.get_or_init(|| {
-        let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        ThreadPool::new(hw.max(threads()).min(64))
-    })
+    POOL.get_or_init(|| ThreadPool::new(hardware_threads().max(threads()).min(64) - 1))
+}
+
+/// Number of worker threads in the global pool, starting it if it has not
+/// started yet (sized from [`threads`] at that moment).
+pub fn pool_workers() -> usize {
+    global_pool().n_workers()
 }
 
 /// Runs `a` and `b`, potentially in parallel, and returns both results.

@@ -9,7 +9,34 @@
 //!
 //! Threads blocked in [`Scope`]'s wait *help*: they execute queued jobs
 //! (possibly belonging to other scopes) instead of idling, so a scope
-//! opened from inside a task cannot deadlock the pool.
+//! opened from inside a task cannot deadlock the pool. Because the scope's
+//! owner always runs tasks too, the global pool starts one worker fewer
+//! than the threads it serves (see `global_pool` in the crate root).
+//!
+//! ## Spin, then park
+//!
+//! Inside one FROTE edit the parallel calls are fine-grained — one scope
+//! per LR gradient iteration, per GBDT round, per forest fit and per
+//! predict — and follow each other with a short serial gap. A worker
+//! parked on a condvar between them takes p50 20–50 µs and p99 0.3–6 ms to
+//! wake on a 2-vCPU host, often on the caller's vCPU, which made two
+//! threads barely faster than one. So idle threads first *spin* for
+//! [`SPIN_WINDOW`]:
+//!
+//! - an idle worker polls the atomic queued-job count (`spin_loop`, then
+//!   `yield_now`); when the window expires it registers as a sleeper under
+//!   the queue lock and parks. `submit` pushes under the same lock and
+//!   calls `notify_one` only when a sleeper is registered, so a job pushed
+//!   while the worker is between its last poll and its park is found by the
+//!   worker's re-check under the lock — no wake-up is lost.
+//! - a scope owner with nothing left to help with polls its scope's atomic
+//!   `pending` count and the queue for the same window, then falls back to
+//!   a timed condvar wait. Tasks decrement `pending` with `Release`; only
+//!   the last one takes the scope's lock, and it notifies only an owner
+//!   that went to sleep.
+//!
+//! Only scheduling changes with the window, never which closure computes
+//! which output, so results do not depend on it.
 //!
 //! Every task runs with a thread-local *in-task* flag set. The crate's
 //! data-parallel helpers check it (see [`crate::serial`]) and run their
@@ -21,20 +48,35 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use frote_obs::{Counter, Gauge};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// How long an idle thread polls for work before it blocks. It is sized
+/// from the gap between consecutive top-level parallel calls of a FROTE
+/// edit (the serial work between two scopes): on the medium Adult slice
+/// that gap measured p50 3 µs, p90 ~200 µs, p99 ~560 µs, and 98% of gaps
+/// were within 0.5 ms, so a worker stays hot across nearly all of them. A
+/// 5 ms window was measured to slow `serve-mixed` publishes (spinning
+/// workers took CPU from the request threads).
+pub const SPIN_WINDOW: Duration = Duration::from_micros(500);
+
+/// Busy-wait polls before an idle thread starts yielding its core each
+/// poll instead.
+const SPIN_POLLS: u32 = 64;
+
 // Pool metrics (see frote-obs). All thread-variant: task counts track the
-// chunking (which scales with the thread count) and steals/depth track the
-// schedule itself.
+// chunking (which scales with the thread count) and steals, parks, spin
+// hits and depth track the schedule itself.
 static TASKS: Counter = Counter::thread_variant("par.tasks");
 static STEALS: Counter = Counter::thread_variant("par.steals");
+static PARKS: Counter = Counter::thread_variant("par.parks");
+static SPIN_HITS: Counter = Counter::thread_variant("par.spin_hits");
 static SCOPE_DEPTH: Gauge = Gauge::thread_variant("par.scope_depth");
 
 /// Concurrently live scopes, feeding the `par.scope_depth` high-water mark.
@@ -71,11 +113,66 @@ impl Drop for TaskFlag {
     }
 }
 
+/// Polls `ready` until it holds (returns `true`) or [`SPIN_WINDOW`] has
+/// passed (returns `false`): [`SPIN_POLLS`] busy-wait polls, then one
+/// `yield_now` per poll so an oversubscribed core goes to runnable threads.
+fn spin_until(mut ready: impl FnMut() -> bool) -> bool {
+    let start = Instant::now();
+    let mut polls = 0u32;
+    loop {
+        if ready() {
+            return true;
+        }
+        if polls < SPIN_POLLS {
+            polls += 1;
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+            if start.elapsed() >= SPIN_WINDOW {
+                return false;
+            }
+        }
+    }
+}
+
+/// The queue lock's contents.
+struct Queue {
+    jobs: VecDeque<Job>,
+    /// Workers registered as parked (or about to park) on `available`.
+    sleepers: usize,
+    shutdown: bool,
+}
+
 struct Shared {
-    /// Pending jobs + the shutdown flag.
-    queue: Mutex<(VecDeque<Job>, bool)>,
-    /// Signalled on job submission and on shutdown.
+    queue: Mutex<Queue>,
+    /// `queue.jobs.len()`, readable without the lock: what spinning threads
+    /// poll. Only a hint — jobs themselves travel through the mutex, which
+    /// orders them — so it publishes nothing and is accessed `Relaxed`.
+    queued: AtomicUsize,
+    /// Signalled on submission (when a sleeper exists) and on shutdown.
     available: Condvar,
+}
+
+impl Shared {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Queue> {
+        self.queue.lock().expect("pool queue poisoned")
+    }
+
+    /// Pops the front job; the caller holds the queue lock.
+    fn pop(&self, queue: &mut Queue) -> Option<Job> {
+        let job = queue.jobs.pop_front()?;
+        self.queued.fetch_sub(1, Ordering::Relaxed);
+        Some(job)
+    }
+
+    /// Pops the front job, taking the lock only when the queue looks
+    /// non-empty.
+    fn try_pop(&self) -> Option<Job> {
+        if self.queued.load(Ordering::Relaxed) == 0 {
+            return None;
+        }
+        self.pop(&mut self.lock())
+    }
 }
 
 /// A fixed-size pool of worker threads executing scoped jobs.
@@ -88,7 +185,8 @@ impl ThreadPool {
     /// Spawns a pool with `n` workers (at least one).
     pub fn new(n: usize) -> Self {
         let shared = Arc::new(Shared {
-            queue: Mutex::new((VecDeque::new(), false)),
+            queue: Mutex::new(Queue { jobs: VecDeque::new(), sleepers: 0, shutdown: false }),
+            queued: AtomicUsize::new(0),
             available: Condvar::new(),
         });
         let workers = (0..n.max(1))
@@ -109,14 +207,17 @@ impl ThreadPool {
     }
 
     fn submit(&self, job: Job) {
-        let mut guard = self.shared.queue.lock().expect("pool queue poisoned");
-        guard.0.push_back(job);
-        drop(guard);
-        self.shared.available.notify_one();
-    }
-
-    fn try_pop(&self) -> Option<Job> {
-        self.shared.queue.lock().expect("pool queue poisoned").0.pop_front()
+        let mut queue = self.shared.lock();
+        queue.jobs.push_back(job);
+        self.shared.queued.fetch_add(1, Ordering::Relaxed);
+        // Read under the lock a parking worker registers under: either it
+        // registered before this push (and is woken here), or it re-checks
+        // the queue after it (and finds the job).
+        let wake = queue.sleepers > 0;
+        drop(queue);
+        if wake {
+            self.shared.available.notify_one();
+        }
     }
 
     /// Runs `f` with a [`Scope`] on which borrowed tasks can be spawned.
@@ -157,7 +258,9 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        self.shared.queue.lock().expect("pool queue poisoned").1 = true;
+        // Spinning workers see the flag when their window expires; parked
+        // ones are woken here.
+        self.shared.lock().shutdown = true;
         self.shared.available.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -173,17 +276,8 @@ fn worker_loop(shared: &Shared, index: usize) {
         frote_obs::Variance::ThreadVariant,
     );
     loop {
-        let job = {
-            let mut guard = shared.queue.lock().expect("pool queue poisoned");
-            loop {
-                if let Some(job) = guard.0.pop_front() {
-                    break job;
-                }
-                if guard.1 {
-                    return;
-                }
-                guard = shared.available.wait(guard).expect("pool queue poisoned");
-            }
+        let Some(job) = shared.try_pop().or_else(|| next_job_after_idle(shared)) else {
+            return;
         };
         // Jobs never unwind: Scope::spawn wraps the user closure in
         // catch_unwind and stores the payload for the scope owner.
@@ -192,10 +286,44 @@ fn worker_loop(shared: &Shared, index: usize) {
     }
 }
 
+/// Waits for the next job once the queue has been seen empty: spins for
+/// [`SPIN_WINDOW`], then parks. `None` means the pool shut down.
+fn next_job_after_idle(shared: &Shared) -> Option<Job> {
+    let mut job = None;
+    if spin_until(|| {
+        job = shared.try_pop();
+        job.is_some()
+    }) {
+        SPIN_HITS.inc();
+        return job;
+    }
+    let mut queue = shared.lock();
+    queue.sleepers += 1;
+    let job = loop {
+        if let Some(job) = shared.pop(&mut queue) {
+            break Some(job);
+        }
+        if queue.shutdown {
+            break None;
+        }
+        PARKS.inc();
+        queue = shared.available.wait(queue).expect("pool queue poisoned");
+    };
+    queue.sleepers -= 1;
+    job
+}
+
 #[derive(Default)]
 struct ScopeState {
-    /// Tasks spawned but not yet finished.
-    pending: Mutex<usize>,
+    /// Tasks spawned but not yet finished. Decremented with `Release` by
+    /// each finishing task; the owner's `Acquire` load that reads 0 makes
+    /// every task's writes visible before `scope` returns.
+    pending: AtomicUsize,
+    /// Whether the owner sleeps on `done`. The owner sets it under the lock
+    /// after re-checking `pending`; the last finishing task reads it under
+    /// the lock and notifies only a sleeping owner, so a spinning owner
+    /// costs the task no wake syscall.
+    sleeping: Mutex<bool>,
     done: Condvar,
     /// First captured task panic, resumed by `scope` after the wait.
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
@@ -217,7 +345,7 @@ impl<'scope, 'env> Scope<'scope, 'env> {
         F: FnOnce() + Send + 'env,
     {
         TASKS.inc();
-        *self.state.pending.lock().expect("scope state poisoned") += 1;
+        self.state.pending.fetch_add(1, Ordering::Relaxed);
         let state = Arc::clone(&self.state);
         let task: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
             let body = move || {
@@ -228,46 +356,67 @@ impl<'scope, 'env> Scope<'scope, 'env> {
                 let mut slot = state.panic.lock().expect("panic slot poisoned");
                 slot.get_or_insert(payload);
             }
-            let mut pending = state.pending.lock().expect("scope state poisoned");
-            *pending -= 1;
-            if *pending == 0 {
-                state.done.notify_all();
+            if state.pending.fetch_sub(1, Ordering::Release) == 1 {
+                // The owner re-checks `pending` under this lock before it
+                // sleeps, so this notify cannot fall between its check and
+                // its wait.
+                if *state.sleeping.lock().expect("scope lock poisoned") {
+                    state.done.notify_one();
+                }
             }
         });
         // SAFETY: `scope` (and `wait_helping`) block until `pending == 0`,
-        // i.e. until this closure has run to completion, before control
+        // i.e. until this closure has run `f` to completion, before control
         // returns past `'env`'s region — so erasing the lifetime to `'static`
-        // never lets the closure outlive its borrows.
+        // never lets the closure outlive its borrows. What the closure does
+        // after the decrement touches only the `Arc`-owned `state`.
         let task: Job = unsafe {
             std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Box<dyn FnOnce() + Send>>(task)
         };
         self.pool.submit(task);
     }
 
+    fn finished(&self) -> bool {
+        self.state.pending.load(Ordering::Acquire) == 0
+    }
+
     /// Blocks until every task of this scope has finished, executing queued
-    /// pool jobs (of any scope) while waiting.
+    /// pool jobs (of any scope) while waiting. Once the queue is empty it
+    /// spins for [`SPIN_WINDOW`], then sleeps on the scope's condvar; it
+    /// spins again only after it has run another job.
     fn wait_helping(&self) {
+        let shared = &*self.pool.shared;
+        let mut spun = false;
         loop {
-            if let Some(job) = self.pool.try_pop() {
+            if let Some(job) = shared.try_pop() {
                 STEALS.inc();
                 job();
+                spun = false;
                 continue;
             }
-            let pending = self.state.pending.lock().expect("scope state poisoned");
-            if *pending == 0 {
+            if self.finished() {
+                return;
+            }
+            if !spun {
+                spun = true;
+                if spin_until(|| self.finished() || shared.queued.load(Ordering::Relaxed) > 0) {
+                    continue;
+                }
+            }
+            let mut sleeping = self.state.sleeping.lock().expect("scope lock poisoned");
+            if self.finished() {
                 return;
             }
             // A job may land in the queue while we sleep on this scope's
             // condvar; the timeout bounds how long we could miss it, and the
             // loop re-polls the queue, so nested scopes cannot deadlock.
-            let (guard, _) = self
+            *sleeping = true;
+            let (mut sleeping, _) = self
                 .state
                 .done
-                .wait_timeout(pending, Duration::from_millis(1))
-                .expect("scope state poisoned");
-            if *guard == 0 {
-                return;
-            }
+                .wait_timeout(sleeping, Duration::from_millis(1))
+                .expect("scope lock poisoned");
+            *sleeping = false;
         }
     }
 }
@@ -328,25 +477,28 @@ mod tests {
 
     #[test]
     fn nested_scopes_do_not_deadlock() {
-        let pool = ThreadPool::new(2);
-        let total = AtomicUsize::new(0);
-        pool.scope(|outer| {
-            for _ in 0..4 {
-                outer.spawn(|| {
-                    // Each outer task opens its own scope on the same pool;
-                    // with only 2 workers this requires waiting threads to
-                    // help execute queued jobs.
-                    pool.scope(|inner| {
-                        for _ in 0..4 {
-                            inner.spawn(|| {
-                                total.fetch_add(1, Ordering::Relaxed);
-                            });
-                        }
+        for workers in [1, 2] {
+            let pool = ThreadPool::new(workers);
+            let total = AtomicUsize::new(0);
+            pool.scope(|outer| {
+                for _ in 0..4 {
+                    outer.spawn(|| {
+                        // Each outer task opens its own scope on the same
+                        // pool; with fewer workers than outer tasks this
+                        // requires waiting threads to help execute queued
+                        // jobs.
+                        pool.scope(|inner| {
+                            for _ in 0..4 {
+                                inner.spawn(|| {
+                                    total.fetch_add(1, Ordering::Relaxed);
+                                });
+                            }
+                        });
                     });
-                });
-            }
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 16);
+                }
+            });
+            assert_eq!(total.load(Ordering::Relaxed), 16, "{workers} worker(s)");
+        }
     }
 
     #[test]
@@ -367,6 +519,67 @@ mod tests {
         }
         drop(pool); // must not hang
         assert_eq!(counter.load(Ordering::Relaxed), 10);
+    }
+
+    /// Spawns each task about one [`SPIN_WINDOW`] after the worker went
+    /// idle — when it stops spinning and parks — sweeping the delay across
+    /// the transition, so pushes race the worker's last poll and its
+    /// registration as a sleeper. The scope's owner does not help while
+    /// its closure waits, so only the worker can run the task: a wake-up
+    /// lost in the transition strands it until the deadline.
+    #[test]
+    fn spawns_racing_the_spin_to_park_transition_are_not_lost() {
+        let pool = ThreadPool::new(1);
+        let idle_since = Mutex::new(Instant::now());
+        for round in 0..1500u32 {
+            let since = *idle_since.lock().unwrap();
+            let delay =
+                SPIN_WINDOW - Duration::from_micros(3) + Duration::from_nanos(50) * (round % 120);
+            while since.elapsed() < delay {
+                std::hint::spin_loop();
+            }
+            let ran = AtomicBool::new(false);
+            let stranded = pool.scope(|s| {
+                s.spawn(|| {
+                    ran.store(true, Ordering::SeqCst);
+                    *idle_since.lock().unwrap() = Instant::now();
+                });
+                let deadline = Instant::now() + Duration::from_secs(2);
+                while !ran.load(Ordering::SeqCst) {
+                    if Instant::now() > deadline {
+                        return true;
+                    }
+                    std::hint::spin_loop();
+                }
+                false
+            });
+            assert!(!stranded, "round {round}: a spawn {delay:?} after the worker idled was lost");
+        }
+    }
+
+    #[test]
+    fn drop_joins_spinning_and_parked_workers_promptly() {
+        for park in [false, true] {
+            let pool = ThreadPool::new(2);
+            pool.scope(|s| {
+                for _ in 0..4 {
+                    s.spawn(|| {});
+                }
+            });
+            if park {
+                while pool.shared.lock().sleepers < pool.n_workers() {
+                    std::thread::yield_now();
+                }
+            }
+            let start = Instant::now();
+            drop(pool);
+            assert!(
+                start.elapsed() < Duration::from_secs(2),
+                "drop took {:?} with {} workers",
+                start.elapsed(),
+                if park { "parked" } else { "spinning" }
+            );
+        }
     }
 
     #[test]

@@ -128,8 +128,10 @@ pub fn parse_predicate(text: &str, schema: &Schema) -> Result<Predicate, RuleErr
         .ok_or_else(|| RuleError::UnknownFeatureName { name: name.to_string() })?;
     let value = match schema.feature(feature).kind() {
         FeatureKind::Numeric => {
-            let x: f64 = value_text.parse().map_err(|_| RuleError::Parse {
-                detail: format!("bad numeric value {value_text:?}"),
+            // `f64::from_str` also accepts `NaN`, `inf` and literals that
+            // overflow to infinity (`1e400`); none is a usable threshold.
+            let x = value_text.parse::<f64>().ok().filter(|x| x.is_finite()).ok_or_else(|| {
+                RuleError::Parse { detail: format!("bad numeric value {value_text:?}") }
             })?;
             Value::Num(x)
         }
@@ -208,6 +210,24 @@ mod tests {
         assert!(parse_rule("marital = widowed => yes", &s).is_err());
         // Illegal operator on categorical is caught by validation.
         assert!(parse_rule("marital > single => yes", &s).is_err());
+    }
+
+    #[test]
+    fn non_finite_thresholds_are_parse_errors() {
+        let s = schema();
+        for value in
+            ["NaN", "nan", "inf", "-inf", "+inf", "infinity", "-Infinity", "1e400", "-1e400"]
+        {
+            let text = format!("age < {value} => yes");
+            assert!(
+                matches!(parse_rule(&text, &s), Err(RuleError::Parse { .. })),
+                "{text:?} must not parse"
+            );
+        }
+        // Finite extremes and subnormal underflow still parse.
+        for value in ["1.7976931348623157e308", "-1e308", "1e-400", "-0"] {
+            assert!(parse_rule(&format!("age < {value} => yes"), &s).is_ok(), "{value}");
+        }
     }
 
     #[test]

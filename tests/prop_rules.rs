@@ -281,15 +281,20 @@ fn arb_rule_text() -> impl Strategy<Value = String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4096))]
 
-    /// `parse_rule` over arbitrary text never panics, and every rule it
-    /// accepts displays as text that parses back to a rule displaying the
-    /// same text. Comparing text sidesteps `NaN != NaN`.
+    /// `parse_rule` over arbitrary text never panics, every rule it accepts
+    /// has finite thresholds, and its display parses back to a rule
+    /// displaying the same text.
     #[test]
     fn parse_rule_total_and_display_stable(
         text in prop_oneof![arb_token_text(10), arb_rule_text()],
     ) {
         let s = unicode_schema();
         if let Ok(rule) = frote_rules::parse::parse_rule(&text, &s) {
+            for p in rule.clause().predicates() {
+                if let Value::Num(x) = p.value() {
+                    prop_assert!(x.is_finite(), "{text:?} parsed with threshold {x}");
+                }
+            }
             let shown = rule.display_with(&s).to_string();
             let again = frote_rules::parse::parse_rule(&shown, &s);
             prop_assert!(again.is_ok(), "{text:?} parsed, but its display {shown:?} did not");

@@ -213,3 +213,33 @@ fn malformed_rows_get_structured_errors_and_workers_survive() {
     server.trigger_shutdown();
     accept.join().unwrap();
 }
+
+#[test]
+fn publish_with_a_non_finite_threshold_is_a_400() {
+    let workload = frote_serve::workload::by_name("wine-rf").unwrap();
+    let refitter = workload.refitter(false);
+    let registry = Arc::new(ModelRegistry::new());
+    registry.register(
+        workload.name(),
+        refitter.initial_snapshot().unwrap(),
+        Some(Box::new(refitter)),
+    );
+    let server = Arc::new(Server::bind(&ServeConfig::default(), registry).unwrap());
+    let accept = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.run())
+    };
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+
+    for value in ["NaN", "inf", "-inf", "1e400"] {
+        let rule = format!("alcohol > {value} => 7");
+        let resp = client.request("POST", "/publish/wine-rf", &rule).unwrap();
+        assert_eq!(resp.status, 400, "{rule:?}: {}", resp.body);
+        assert!(resp.body.contains("bad numeric value"), "{rule:?}: {}", resp.body);
+    }
+    let models = client.models().unwrap();
+    assert!(models.contains("wine-rf 1 "), "a refused publish advanced the generation: {models}");
+
+    server.trigger_shutdown();
+    accept.join().unwrap();
+}
