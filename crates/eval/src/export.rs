@@ -168,4 +168,78 @@ mod tests {
     fn malformed_json_errors() {
         assert!(ExperimentRecord::from_json("{not json").is_err());
     }
+
+    /// Exact bytes of `table3 --json`-style output: struct field order,
+    /// `BTreeMap` key order, empty maps as `{}`, integral and non-finite
+    /// scalars, and escaped dimension values.
+    #[test]
+    fn to_json_pins_exact_bytes() {
+        let first = CellRecord::new()
+            .dim("model", "RF")
+            .dim("dataset", "Car \"quoted\"")
+            .dim("note", "back\\slash\u{7}bell, Qualität")
+            .scalar("runs", 30.0)
+            .scalar("ratio", 0.125)
+            .scalar("undefined", f64::NAN)
+            .scalar("neg_zero", -0.0)
+            .summary("delta_j", Summary { mean: 0.01, std: 0.002, n: 30 })
+            .summary("delta_mra", Summary { mean: -1.5, std: 0.0, n: 3 })
+            .boxed("initial", Some(BoxStats { lo: 0.1, q1: 0.2, median: 0.3, q3: 0.4, hi: 1.0 }));
+        let second = CellRecord::new().dim("dataset", "Mushroom");
+        let rec = ExperimentRecord::new("table3", Scale::Smoke, vec![first, second]);
+        let expected = r#"{
+  "experiment": "table3",
+  "scale": "smoke",
+  "cells": [
+    {
+      "dims": {
+        "dataset": "Car \"quoted\"",
+        "model": "RF",
+        "note": "back\\slash\u0007bell, Qualität"
+      },
+      "scalars": {
+        "neg_zero": 0,
+        "ratio": 0.125,
+        "runs": 30,
+        "undefined": null
+      },
+      "summaries": {
+        "delta_j": {
+          "mean": 0.01,
+          "std": 0.002,
+          "n": 30
+        },
+        "delta_mra": {
+          "mean": -1.5,
+          "std": 0,
+          "n": 3
+        }
+      },
+      "boxes": {
+        "initial": {
+          "lo": 0.1,
+          "q1": 0.2,
+          "median": 0.3,
+          "q3": 0.4,
+          "hi": 1
+        }
+      }
+    },
+    {
+      "dims": {
+        "dataset": "Mushroom"
+      },
+      "scalars": {},
+      "summaries": {},
+      "boxes": {}
+    }
+  ]
+}"#;
+        assert_eq!(rec.to_json(), expected);
+        let empty = ExperimentRecord::new("table3", Scale::Smoke, vec![]);
+        assert_eq!(
+            empty.to_json(),
+            "{\n  \"experiment\": \"table3\",\n  \"scale\": \"smoke\",\n  \"cells\": []\n}"
+        );
+    }
 }

@@ -504,7 +504,11 @@ pub fn snapshot() -> MetricsSnapshot {
 
 /// Pretty-printed JSON of [`snapshot`].
 pub fn snapshot_json() -> String {
-    serde_json::to_string_pretty(&snapshot()).expect("metrics snapshot serializes")
+    snapshot_to_json(&snapshot())
+}
+
+fn snapshot_to_json(snap: &MetricsSnapshot) -> String {
+    serde_json::to_string_pretty(snap).expect("metrics snapshot serializes")
 }
 
 /// Human-readable end-of-run summary table of every registered metric.
@@ -667,5 +671,147 @@ mod tests {
         assert!(!summary_table().is_empty());
         set_metrics_enabled(false);
         clear_metrics_override();
+    }
+
+    /// Exact bytes of the snapshot JSON: field order, 2-space indent,
+    /// integral vs fractional vs non-finite gauges, empty arrays and the
+    /// string escapes all stay as `--metrics-out` has always written them.
+    #[test]
+    fn snapshot_json_pins_exact_bytes() {
+        let counter = |name: &str, variance: &str, value| CounterSnapshot {
+            name: name.to_string(),
+            variance: variance.to_string(),
+            value,
+        };
+        let gauge = |name: &str, value| GaugeSnapshot {
+            name: name.to_string(),
+            variance: "invariant".to_string(),
+            value,
+        };
+        let snap = MetricsSnapshot {
+            counters: vec![
+                counter("a.\"quoted\"", "invariant", 3),
+                counter("b\\path\u{1}ctl\u{1f}\t", "thread_variant", 0),
+                counter("c.größe.µs", "invariant", 9_007_199_254_740_991),
+            ],
+            gauges: vec![
+                gauge("g.integral", 3.0),
+                gauge("g.fractional", 0.25),
+                gauge("g.nan", f64::NAN),
+                gauge("g.inf", f64::INFINITY),
+                gauge("g.neg_inf", f64::NEG_INFINITY),
+                gauge("g.neg_zero", -0.0),
+                gauge("g.tiny", 1e-7),
+                gauge("g.third", 1.0 / 3.0),
+                gauge("g.big", 1e20),
+            ],
+            histograms: vec![
+                HistogramSnapshot {
+                    name: "h.empty".to_string(),
+                    variance: "thread_variant".to_string(),
+                    count: 0,
+                    sum_ns: 0,
+                    buckets: vec![],
+                },
+                HistogramSnapshot {
+                    name: "h.line\nbreak".to_string(),
+                    variance: "thread_variant".to_string(),
+                    count: 7,
+                    sum_ns: 1_234_567,
+                    buckets: vec![0, 2, 5],
+                },
+            ],
+        };
+        let expected = r#"{
+  "counters": [
+    {
+      "name": "a.\"quoted\"",
+      "variance": "invariant",
+      "value": 3
+    },
+    {
+      "name": "b\\path\u0001ctl\u001f\t",
+      "variance": "thread_variant",
+      "value": 0
+    },
+    {
+      "name": "c.größe.µs",
+      "variance": "invariant",
+      "value": 9007199254740991
+    }
+  ],
+  "gauges": [
+    {
+      "name": "g.integral",
+      "variance": "invariant",
+      "value": 3
+    },
+    {
+      "name": "g.fractional",
+      "variance": "invariant",
+      "value": 0.25
+    },
+    {
+      "name": "g.nan",
+      "variance": "invariant",
+      "value": null
+    },
+    {
+      "name": "g.inf",
+      "variance": "invariant",
+      "value": null
+    },
+    {
+      "name": "g.neg_inf",
+      "variance": "invariant",
+      "value": null
+    },
+    {
+      "name": "g.neg_zero",
+      "variance": "invariant",
+      "value": 0
+    },
+    {
+      "name": "g.tiny",
+      "variance": "invariant",
+      "value": 0.0000001
+    },
+    {
+      "name": "g.third",
+      "variance": "invariant",
+      "value": 0.3333333333333333
+    },
+    {
+      "name": "g.big",
+      "variance": "invariant",
+      "value": 100000000000000000000
+    }
+  ],
+  "histograms": [
+    {
+      "name": "h.empty",
+      "variance": "thread_variant",
+      "count": 0,
+      "sum_ns": 0,
+      "buckets": []
+    },
+    {
+      "name": "h.line\nbreak",
+      "variance": "thread_variant",
+      "count": 7,
+      "sum_ns": 1234567,
+      "buckets": [
+        0,
+        2,
+        5
+      ]
+    }
+  ]
+}"#;
+        assert_eq!(snapshot_to_json(&snap), expected);
+        assert_eq!(
+            snapshot_to_json(&MetricsSnapshot::default()),
+            "{\n  \"counters\": [],\n  \"gauges\": [],\n  \"histograms\": []\n}"
+        );
     }
 }
