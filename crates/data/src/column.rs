@@ -1,14 +1,12 @@
 //! Columnar storage for one feature.
 
-use serde::{Deserialize, Serialize};
-
 use crate::value::Value;
 
 /// One feature column of a [`crate::Dataset`].
 ///
 /// Stored densely and typed so coverage scans and statistics avoid per-cell
 /// branching on [`Value`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Column {
     /// Dense numeric column.
     Numeric(Vec<f64>),

@@ -4,7 +4,6 @@ use std::sync::Arc;
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::column::Column;
 use crate::error::DataError;
@@ -30,7 +29,7 @@ use crate::value::{FeatureKind, Value};
 /// assert_eq!(ds.value(0, 0), Value::Num(0.5));
 /// # Ok::<(), frote_data::DataError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     schema: Arc<Schema>,
     columns: Vec<Column>,

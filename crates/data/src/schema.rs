@@ -1,11 +1,9 @@
 //! Dataset schemas: named, typed features plus the label vocabulary.
 
-use serde::{Deserialize, Serialize};
-
 use crate::value::FeatureKind;
 
 /// Metadata for one feature column.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FeatureMeta {
     name: String,
     kind: FeatureKind,
@@ -33,7 +31,7 @@ impl FeatureMeta {
 /// Schemas are immutable once built ([`SchemaBuilder`] constructs them) and
 /// shared between datasets via `Arc` internally, so cloning a [`crate::Dataset`]
 /// does not duplicate vocabularies.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     features: Vec<FeatureMeta>,
     label_name: String,

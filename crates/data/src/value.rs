@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The kind of a feature column.
 ///
 /// The FROTE paper distinguishes numeric attributes (operators
 /// `=, >, >=, <, <=`) from categorical ones (operators `=, !=`); the split is
 /// carried here and consulted by the rules engine and the encoders.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum FeatureKind {
     /// Real-valued attribute.
     Numeric,
@@ -46,7 +44,7 @@ impl FeatureKind {
 /// `Cat` holds an index into the owning column's category vocabulary (see
 /// [`FeatureKind::Categorical`]); keeping indices rather than strings makes
 /// coverage scans and distance computations branch-cheap.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Value {
     /// Numeric cell.
     Num(f64),

@@ -2,14 +2,17 @@
 //!
 //! The bench binaries print the paper-style text tables; anything that wants
 //! the raw numbers (notebooks regenerating the figures graphically, CI trend
-//! tracking) can serialize the same records with this module instead.
+//! tracking) can serialize the same records with this module instead. The
+//! JSON is printed by `frote_obs::json`.
 
-use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
+
+use frote_obs::json::{self, Value};
 
 use crate::aggregate::{BoxStats, Summary};
 
 /// A serializable summary (mirrors [`Summary`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SummaryRecord {
     /// Mean.
     pub mean: f64,
@@ -26,7 +29,7 @@ impl From<Summary> for SummaryRecord {
 }
 
 /// A serializable box plot (mirrors [`BoxStats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoxRecord {
     /// Lower whisker.
     pub lo: f64,
@@ -48,16 +51,16 @@ impl From<BoxStats> for BoxRecord {
 
 /// One generic experiment cell: string-keyed dimensions (dataset, model,
 /// tcf, ...) plus named measurements.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CellRecord {
     /// Dimension values, e.g. `{"dataset": "Car", "model": "RF"}`.
-    pub dims: std::collections::BTreeMap<String, String>,
+    pub dims: BTreeMap<String, String>,
     /// Scalar measurements.
-    pub scalars: std::collections::BTreeMap<String, f64>,
+    pub scalars: BTreeMap<String, f64>,
     /// Summary measurements.
-    pub summaries: std::collections::BTreeMap<String, SummaryRecord>,
+    pub summaries: BTreeMap<String, SummaryRecord>,
     /// Box-plot measurements.
-    pub boxes: std::collections::BTreeMap<String, BoxRecord>,
+    pub boxes: BTreeMap<String, BoxRecord>,
 }
 
 impl CellRecord {
@@ -94,7 +97,7 @@ impl CellRecord {
 }
 
 /// A whole experiment: id (e.g. `"table3"`), scale, and its cells.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentRecord {
     /// Experiment identifier matching the bench binary name.
     pub experiment: String,
@@ -114,19 +117,47 @@ impl ExperimentRecord {
         }
     }
 
-    /// Pretty JSON.
+    /// Pretty JSON: fields in declaration order, map entries in key order.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("records are always serializable")
+        use Value::{Array, Num, Object, Str, UInt};
+        let cells = self.cells.iter().map(|cell| {
+            Object(vec![
+                ("dims", object(&cell.dims, |v| Str(v))),
+                ("scalars", object(&cell.scalars, |&v| Num(v))),
+                (
+                    "summaries",
+                    object(&cell.summaries, |s| {
+                        Object(vec![
+                            ("mean", Num(s.mean)),
+                            ("std", Num(s.std)),
+                            ("n", UInt(s.n as u64)),
+                        ])
+                    }),
+                ),
+                (
+                    "boxes",
+                    object(&cell.boxes, |b| {
+                        Object(vec![
+                            ("lo", Num(b.lo)),
+                            ("q1", Num(b.q1)),
+                            ("median", Num(b.median)),
+                            ("q3", Num(b.q3)),
+                            ("hi", Num(b.hi)),
+                        ])
+                    }),
+                ),
+            ])
+        });
+        json::to_string_pretty(&Object(vec![
+            ("experiment", Str(&self.experiment)),
+            ("scale", Str(&self.scale)),
+            ("cells", Array(cells.collect())),
+        ]))
     }
+}
 
-    /// Parses JSON produced by [`ExperimentRecord::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying `serde_json` error on malformed input.
-    pub fn from_json(text: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(text)
-    }
+fn object<'a, V>(map: &'a BTreeMap<String, V>, value: impl Fn(&'a V) -> Value<'a>) -> Value<'a> {
+    Value::Object(map.iter().map(|(k, v)| (k.as_str(), value(v))).collect())
 }
 
 #[cfg(test)]
@@ -135,38 +166,9 @@ mod tests {
     use crate::Scale;
 
     #[test]
-    fn roundtrip() {
-        let cell = CellRecord::new()
-            .dim("dataset", "Car")
-            .dim("model", "RF")
-            .scalar("runs", 30.0)
-            .summary("delta_j", Summary { mean: 0.01, std: 0.002, n: 30 })
-            .boxed(
-                "initial",
-                Some(crate::aggregate::BoxStats {
-                    lo: 0.1,
-                    q1: 0.2,
-                    median: 0.3,
-                    q3: 0.4,
-                    hi: 0.5,
-                }),
-            );
-        let rec = ExperimentRecord::new("table3", Scale::Smoke, vec![cell]);
-        let json = rec.to_json();
-        assert!(json.contains("\"dataset\": \"Car\""));
-        let back = ExperimentRecord::from_json(&json).unwrap();
-        assert_eq!(back, rec);
-    }
-
-    #[test]
     fn boxed_none_is_skipped() {
         let cell = CellRecord::new().boxed("missing", None);
         assert!(cell.boxes.is_empty());
-    }
-
-    #[test]
-    fn malformed_json_errors() {
-        assert!(ExperimentRecord::from_json("{not json").is_err());
     }
 
     /// Exact bytes of `table3 --json`-style output: struct field order,

@@ -4,6 +4,8 @@
 //! [`Counter`]s, [`Gauge`]s, fixed-bucket latency [`Histogram`]s with
 //! lock-free `u64` bins, and RAII [`SpanTimer`]s — plus a lightweight
 //! structured event [`trace`] (a bounded ring buffer of typed events).
+//! [`snapshot_json`] prints the registry with the crate's own small
+//! [`json`] writer, which `frote_eval::export` shares.
 //!
 //! # Gating
 //!
@@ -34,13 +36,12 @@
 //! ROWS_SCANNED.add(128);
 //! ```
 
+pub mod json;
 pub mod trace;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
-
-use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------------
 // Gating
@@ -406,7 +407,7 @@ impl Drop for SpanTimer {
 // ---------------------------------------------------------------------------
 
 /// Point-in-time value of one counter.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CounterSnapshot {
     /// Metric name.
     pub name: String,
@@ -417,7 +418,7 @@ pub struct CounterSnapshot {
 }
 
 /// Point-in-time value of one gauge.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GaugeSnapshot {
     /// Metric name.
     pub name: String,
@@ -428,7 +429,7 @@ pub struct GaugeSnapshot {
 }
 
 /// Point-in-time state of one latency histogram.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HistogramSnapshot {
     /// Metric name.
     pub name: String,
@@ -443,7 +444,7 @@ pub struct HistogramSnapshot {
 }
 
 /// All registered metrics at a point in time, sorted by name.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     /// Counters, sorted by name.
     pub counters: Vec<CounterSnapshot>,
@@ -508,7 +509,26 @@ pub fn snapshot_json() -> String {
 }
 
 fn snapshot_to_json(snap: &MetricsSnapshot) -> String {
-    serde_json::to_string_pretty(snap).expect("metrics snapshot serializes")
+    use json::Value::{Array, Num, Object, Str, UInt};
+    let named = |name, variance, value| {
+        Object(vec![("name", Str(name)), ("variance", Str(variance)), ("value", value)])
+    };
+    let counters = snap.counters.iter().map(|c| named(&c.name, &c.variance, UInt(c.value)));
+    let gauges = snap.gauges.iter().map(|g| named(&g.name, &g.variance, Num(g.value)));
+    let histograms = snap.histograms.iter().map(|h| {
+        Object(vec![
+            ("name", Str(&h.name)),
+            ("variance", Str(&h.variance)),
+            ("count", UInt(h.count)),
+            ("sum_ns", UInt(h.sum_ns)),
+            ("buckets", Array(h.buckets.iter().map(|&b| UInt(b)).collect())),
+        ])
+    });
+    json::to_string_pretty(&Object(vec![
+        ("counters", Array(counters.collect())),
+        ("gauges", Array(gauges.collect())),
+        ("histograms", Array(histograms.collect())),
+    ]))
 }
 
 /// Human-readable end-of-run summary table of every registered metric.
@@ -665,9 +685,10 @@ mod tests {
         sorted.sort();
         assert_eq!(names, sorted, "snapshot counters are name-sorted");
         let json = snapshot_json();
-        let parsed: MetricsSnapshot =
-            serde_json::from_str(&json).expect("snapshot JSON parses back");
-        assert_eq!(parsed.counters.len(), snap.counters.len());
+        let a = json.find("\"test.json.a\"").expect("counter a is in the JSON");
+        let b = json.find("\"test.json.b\"").expect("counter b is in the JSON");
+        assert!(a < b, "the JSON keeps the snapshot's name order");
+        assert!(json.starts_with("{\n  \"counters\": [\n") && json.ends_with("\n}"), "{json}");
         assert!(!summary_table().is_empty());
         set_metrics_enabled(false);
         clear_metrics_override();
@@ -813,5 +834,29 @@ mod tests {
             snapshot_to_json(&MetricsSnapshot::default()),
             "{\n  \"counters\": [],\n  \"gauges\": [],\n  \"histograms\": []\n}"
         );
+    }
+
+    // The writer's layout rules, checked directly.
+
+    #[test]
+    fn pretty_format_matches_serde_json_style() {
+        use json::Value::{Array, Num, Object, Str};
+        let v = Object(vec![
+            ("dataset", Str("Car")),
+            ("n", Num(30.0)),
+            ("xs", Array(vec![Num(0.5), Num(1.0)])),
+        ]);
+        assert_eq!(
+            json::to_string_pretty(&v),
+            "{\n  \"dataset\": \"Car\",\n  \"n\": 30,\n  \"xs\": [\n    0.5,\n    1\n  ]\n}"
+        );
+    }
+
+    #[test]
+    fn floats_round_trip_exactly() {
+        for x in [0.1, 1.0 / 3.0, 1e-12, 123456.789, -0.007, 1e300, f64::MAX, f64::MIN_POSITIVE] {
+            let text = json::to_string_pretty(&json::Value::Num(x));
+            assert_eq!(text.parse::<f64>(), Ok(x), "{text}");
+        }
     }
 }

@@ -3,14 +3,14 @@
 //! Gated independently of metrics via `FROTE_TRACE=1` (or
 //! [`set_trace_enabled`]); when disabled, [`emit`] is a single relaxed
 //! atomic load. Events carry a static label plus a small set of
-//! numeric fields, which keeps emission allocation-light and the
-//! buffer bounded regardless of run length.
+//! numeric fields under static names. Until the ring fills, an event
+//! allocates only its field list; after that it reuses the evicted
+//! event's list, so the buffer stays bounded and allocation-free however
+//! long the run.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
-
-use serde::Serialize;
 
 /// Maximum events retained; older events are dropped FIFO.
 pub const TRACE_CAPACITY: usize = 4096;
@@ -49,21 +49,21 @@ pub fn clear_trace_override() {
 }
 
 /// One named numeric field on a trace event.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TraceField {
     /// Field name.
-    pub name: String,
+    pub name: &'static str,
     /// Field value (counts and objective values are all representable).
     pub value: f64,
 }
 
 /// One structured event.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TraceEvent {
     /// Monotonic sequence number (1-based, survives ring eviction).
     pub seq: u64,
     /// Static event label, e.g. `"frote.iteration"`.
-    pub label: String,
+    pub label: &'static str,
     /// Named numeric payload.
     pub fields: Vec<TraceField>,
 }
@@ -92,18 +92,15 @@ pub fn emit(label: &'static str, fields: &[(&'static str, f64)]) {
     let mut ring = lock_ring();
     ring.seq += 1;
     let seq = ring.seq;
+    // A full ring hands its evicted event's field list to the new event.
+    let mut list = Vec::new();
     if ring.events.len() == TRACE_CAPACITY {
-        ring.events.pop_front();
+        list = ring.events.pop_front().map(|e| e.fields).unwrap_or_default();
         ring.dropped += 1;
     }
-    ring.events.push_back(TraceEvent {
-        seq,
-        label: label.to_string(),
-        fields: fields
-            .iter()
-            .map(|(name, value)| TraceField { name: (*name).to_string(), value: *value })
-            .collect(),
-    });
+    list.clear();
+    list.extend(fields.iter().map(|&(name, value)| TraceField { name, value }));
+    ring.events.push_back(TraceEvent { seq, label, fields: list });
 }
 
 /// Copy of the retained events, oldest first.

@@ -3,7 +3,6 @@
 use std::fmt;
 
 use frote_data::{Dataset, FeatureKind, Schema, Value};
-use serde::{Deserialize, Serialize};
 
 use crate::engine::CompiledClause;
 use crate::error::RuleError;
@@ -20,7 +19,7 @@ const SCAN_BLOCK: usize = 1024;
 /// A conjunction of predicates. The empty clause is always true (it covers
 /// the entire domain), matching the paper's Algorithm 2 where deleting every
 /// condition yields coverage `|D|`.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Clause {
     predicates: Vec<Predicate>,
 }

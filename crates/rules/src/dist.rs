@@ -1,7 +1,6 @@
 //! Label distributions `π` attached to feedback rules.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::error::RuleError;
 
@@ -10,7 +9,7 @@ use crate::error::RuleError;
 /// The common case is deterministic (`Y = c` with probability 1). The paper
 /// also allows probabilistic rules, useful for expressing uncertainty in a
 /// rule and mitigating over-confident experts (its Table 6 experiment).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LabelDist {
     /// Kronecker delta on one class.
     Deterministic(u32),

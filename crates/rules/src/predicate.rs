@@ -3,7 +3,6 @@
 use std::fmt;
 
 use frote_data::{FeatureKind, Schema, Value};
-use serde::{Deserialize, Serialize};
 
 use crate::error::RuleError;
 
@@ -11,7 +10,7 @@ use crate::error::RuleError;
 ///
 /// The paper allows `{=, !=}` on categorical attributes and
 /// `{=, >, >=, <, <=}` on numeric attributes (§3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// Equal.
     Eq,
@@ -69,7 +68,7 @@ impl fmt::Display for Op {
 }
 
 /// One condition on one feature.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Predicate {
     feature: usize,
     op: Op,

@@ -3,7 +3,6 @@
 use std::fmt;
 
 use frote_data::{Dataset, Schema, Value};
-use serde::{Deserialize, Serialize};
 
 use crate::clause::Clause;
 use crate::dist::LabelDist;
@@ -11,7 +10,7 @@ use crate::error::RuleError;
 
 /// A feedback rule: IF the clause holds THEN the label follows the
 /// distribution (paper §3.1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeedbackRule {
     clause: Clause,
     dist: LabelDist,

@@ -1,7 +1,6 @@
 //! Feedback rule sets: coverage union, conflict detection and resolution.
 
 use frote_data::{Dataset, Schema, Value};
-use serde::{Deserialize, Serialize};
 
 use crate::engine::CompiledRuleSet;
 use crate::error::RuleError;
@@ -27,7 +26,7 @@ pub enum ConflictResolution {
 /// Rules are kept in priority order: [`FeedbackRuleSet::first_covering`]
 /// returns the earliest rule covering a row, which makes the *effective*
 /// coverages disjoint as the paper's problem formalization assumes (§3.2).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FeedbackRuleSet {
     rules: Vec<FeedbackRule>,
 }
