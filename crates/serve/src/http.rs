@@ -24,13 +24,19 @@ pub const MAX_HEADER_BYTES: u64 = 16 * 1024;
 /// Reads one `\n`-terminated line from the capped header section.
 /// A line that runs into the cap without its terminator is the
 /// header-bomb case: [`ServeError::HeadersTooLarge`], never an allocation
-/// proportional to what the peer sends.
+/// proportional to what the peer sends. A line that is not UTF-8 is a
+/// [`ServeError::BadRequest`], as a non-UTF-8 body is.
 fn read_header_line<R: BufRead>(
     head: &mut std::io::Take<R>,
     line: &mut String,
 ) -> Result<usize, ServeError> {
     line.clear();
-    let n = head.read_line(line)?;
+    let n = head.read_line(line).map_err(|e| match e.kind() {
+        std::io::ErrorKind::InvalidData => {
+            ServeError::BadRequest { detail: "request head is not utf-8".to_string() }
+        }
+        _ => ServeError::from(e),
+    })?;
     if head.limit() == 0 && !line.ends_with('\n') {
         return Err(ServeError::HeadersTooLarge);
     }
@@ -84,7 +90,8 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, Serve
     let mut content_length = 0usize;
     let mut keep_alive = true;
     loop {
-        if read_header_line(&mut head, &mut line)? == 0 {
+        // A line cut short by EOF, even a bare `\r`, cannot end the head.
+        if read_header_line(&mut head, &mut line)? == 0 || !line.ends_with('\n') {
             return Err(ServeError::BadRequest { detail: "eof inside headers".to_string() });
         }
         let trimmed = line.trim_end();
@@ -387,5 +394,18 @@ mod tests {
         let raw = "POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
         let err = read_request(&mut Cursor::new(raw)).unwrap_err();
         assert!(matches!(err, ServeError::BadRequest { .. }), "got {err:?}");
+    }
+
+    #[test]
+    fn non_utf8_head_is_bad_request_not_io() {
+        // `read_line` reports invalid UTF-8 as an I/O error; in the head it
+        // is the peer's framing fault, like a non-UTF-8 body.
+        for raw in [
+            &b"GET /\xff HTTP/1.1\r\n\r\n"[..],
+            &b"POST /x HTTP/1.1\r\nX-Name: caf\xc3\r\n\r\n"[..],
+        ] {
+            let err = read_request(&mut Cursor::new(raw)).unwrap_err();
+            assert!(matches!(err, ServeError::BadRequest { .. }), "got {err:?}");
+        }
     }
 }

@@ -10,8 +10,12 @@
 //! two snapshots — at `FROTE_THREADS` 1, 2, and 4. The boundary test pins
 //! the other contract: malformed rows (wrong arity, out-of-vocab
 //! categories, NaN cells) surface structured `400`s through the compiled
-//! rule-engine guard, and the connection keeps serving afterwards.
+//! rule-engine guard, and the connection keeps serving afterwards. A
+//! request head that is not UTF-8 is framing garbage: a `400` and a closed
+//! connection, never a `503`.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -239,6 +243,36 @@ fn publish_with_a_non_finite_threshold_is_a_400() {
     }
     let models = client.models().unwrap();
     assert!(models.contains("wine-rf 1 "), "a refused publish advanced the generation: {models}");
+
+    server.trigger_shutdown();
+    accept.join().unwrap();
+}
+
+#[test]
+fn non_utf8_request_head_is_a_400_and_closes_the_connection() {
+    let ds = mixed_dataset();
+    let registry = Arc::new(ModelRegistry::new());
+    registry.register("mixed", snapshot_for(&ds), None);
+    let server = Arc::new(Server::bind(&ServeConfig::default(), registry).unwrap());
+    let accept = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.run())
+    };
+
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.write_all(b"GET /health\xff HTTP/1.1\r\n\r\n").unwrap();
+    stream.flush().unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    // Reading to EOF only returns once the server has closed its end.
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).unwrap();
+    let raw = String::from_utf8_lossy(&raw);
+    assert!(raw.starts_with("HTTP/1.1 400 "), "a non-UTF-8 head must be a 400, got {raw:?}");
+    assert!(raw.contains("not utf-8"), "{raw:?}");
+
+    // The worker that rejected it still serves other connections.
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+    client.health().unwrap();
 
     server.trigger_shutdown();
     accept.join().unwrap();
