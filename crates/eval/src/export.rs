@@ -2,52 +2,14 @@
 //!
 //! The bench binaries print the paper-style text tables; anything that wants
 //! the raw numbers (notebooks regenerating the figures graphically, CI trend
-//! tracking) can serialize the same records with this module instead. The
-//! JSON is printed by `frote_obs::json`.
+//! tracking) can serialize the same records with this module instead,
+//! printed by `frote_obs::json`.
 
 use std::collections::BTreeMap;
 
 use frote_obs::json::{self, Value};
 
 use crate::aggregate::{BoxStats, Summary};
-
-/// A serializable summary (mirrors [`Summary`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SummaryRecord {
-    /// Mean.
-    pub mean: f64,
-    /// Sample standard deviation.
-    pub std: f64,
-    /// Sample size.
-    pub n: usize,
-}
-
-impl From<Summary> for SummaryRecord {
-    fn from(s: Summary) -> Self {
-        SummaryRecord { mean: s.mean, std: s.std, n: s.n }
-    }
-}
-
-/// A serializable box plot (mirrors [`BoxStats`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BoxRecord {
-    /// Lower whisker.
-    pub lo: f64,
-    /// First quartile.
-    pub q1: f64,
-    /// Median.
-    pub median: f64,
-    /// Third quartile.
-    pub q3: f64,
-    /// Upper whisker.
-    pub hi: f64,
-}
-
-impl From<BoxStats> for BoxRecord {
-    fn from(b: BoxStats) -> Self {
-        BoxRecord { lo: b.lo, q1: b.q1, median: b.median, q3: b.q3, hi: b.hi }
-    }
-}
 
 /// One generic experiment cell: string-keyed dimensions (dataset, model,
 /// tcf, ...) plus named measurements.
@@ -58,9 +20,9 @@ pub struct CellRecord {
     /// Scalar measurements.
     pub scalars: BTreeMap<String, f64>,
     /// Summary measurements.
-    pub summaries: BTreeMap<String, SummaryRecord>,
+    pub summaries: BTreeMap<String, Summary>,
     /// Box-plot measurements.
-    pub boxes: BTreeMap<String, BoxRecord>,
+    pub boxes: BTreeMap<String, BoxStats>,
 }
 
 impl CellRecord {
@@ -83,14 +45,14 @@ impl CellRecord {
 
     /// Adds a summary measurement.
     pub fn summary(mut self, key: &str, value: Summary) -> Self {
-        self.summaries.insert(key.to_string(), value.into());
+        self.summaries.insert(key.to_string(), value);
         self
     }
 
     /// Adds a box-plot measurement (skips `None`).
     pub fn boxed(mut self, key: &str, value: Option<BoxStats>) -> Self {
         if let Some(b) = value {
-            self.boxes.insert(key.to_string(), b.into());
+            self.boxes.insert(key.to_string(), b);
         }
         self
     }
@@ -120,32 +82,20 @@ impl ExperimentRecord {
     /// Pretty JSON: fields in declaration order, map entries in key order.
     pub fn to_json(&self) -> String {
         use Value::{Array, Num, Object, Str, UInt};
+        let summary = |s: &Summary| {
+            Object(vec![("mean", Num(s.mean)), ("std", Num(s.std)), ("n", UInt(s.n as u64))])
+        };
+        let box_stats = |b: &BoxStats| {
+            let fields =
+                [("lo", b.lo), ("q1", b.q1), ("median", b.median), ("q3", b.q3), ("hi", b.hi)];
+            Object(fields.into_iter().map(|(key, v)| (key, Num(v))).collect())
+        };
         let cells = self.cells.iter().map(|cell| {
             Object(vec![
                 ("dims", object(&cell.dims, |v| Str(v))),
                 ("scalars", object(&cell.scalars, |&v| Num(v))),
-                (
-                    "summaries",
-                    object(&cell.summaries, |s| {
-                        Object(vec![
-                            ("mean", Num(s.mean)),
-                            ("std", Num(s.std)),
-                            ("n", UInt(s.n as u64)),
-                        ])
-                    }),
-                ),
-                (
-                    "boxes",
-                    object(&cell.boxes, |b| {
-                        Object(vec![
-                            ("lo", Num(b.lo)),
-                            ("q1", Num(b.q1)),
-                            ("median", Num(b.median)),
-                            ("q3", Num(b.q3)),
-                            ("hi", Num(b.hi)),
-                        ])
-                    }),
-                ),
+                ("summaries", object(&cell.summaries, summary)),
+                ("boxes", object(&cell.boxes, box_stats)),
             ])
         });
         json::to_string_pretty(&Object(vec![
@@ -178,14 +128,11 @@ mod tests {
     fn to_json_pins_exact_bytes() {
         let first = CellRecord::new()
             .dim("model", "RF")
-            .dim("dataset", "Car \"quoted\"")
-            .dim("note", "back\\slash\u{7}bell, Qualität")
+            .dim("dataset", "Car \"q\" \\ \u{7} Qualität")
             .scalar("runs", 30.0)
             .scalar("ratio", 0.125)
             .scalar("undefined", f64::NAN)
-            .scalar("neg_zero", -0.0)
-            .summary("delta_j", Summary { mean: 0.01, std: 0.002, n: 30 })
-            .summary("delta_mra", Summary { mean: -1.5, std: 0.0, n: 3 })
+            .summary("delta_j", Summary { mean: 0.01, std: 0.0, n: 30 })
             .boxed("initial", Some(BoxStats { lo: 0.1, q1: 0.2, median: 0.3, q3: 0.4, hi: 1.0 }));
         let second = CellRecord::new().dim("dataset", "Mushroom");
         let rec = ExperimentRecord::new("table3", Scale::Smoke, vec![first, second]);
@@ -195,12 +142,10 @@ mod tests {
   "cells": [
     {
       "dims": {
-        "dataset": "Car \"quoted\"",
-        "model": "RF",
-        "note": "back\\slash\u0007bell, Qualität"
+        "dataset": "Car \"q\" \\ \u0007 Qualität",
+        "model": "RF"
       },
       "scalars": {
-        "neg_zero": 0,
         "ratio": 0.125,
         "runs": 30,
         "undefined": null
@@ -208,13 +153,8 @@ mod tests {
       "summaries": {
         "delta_j": {
           "mean": 0.01,
-          "std": 0.002,
-          "n": 30
-        },
-        "delta_mra": {
-          "mean": -1.5,
           "std": 0,
-          "n": 3
+          "n": 30
         }
       },
       "boxes": {
@@ -238,10 +178,5 @@ mod tests {
   ]
 }"#;
         assert_eq!(rec.to_json(), expected);
-        let empty = ExperimentRecord::new("table3", Scale::Smoke, vec![]);
-        assert_eq!(
-            empty.to_json(),
-            "{\n  \"experiment\": \"table3\",\n  \"scale\": \"smoke\",\n  \"cells\": []\n}"
-        );
     }
 }

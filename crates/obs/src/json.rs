@@ -18,7 +18,7 @@
 use std::fmt::Write;
 
 /// A JSON document borrowed from the data it prints.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub enum Value<'a> {
     /// A float, printed by the number rules in the module docs.
     Num(f64),
@@ -143,6 +143,23 @@ mod tests {
             }
         }
         out
+    }
+
+    #[test]
+    fn scalars_print_like_serde_json() {
+        let cases = [
+            (Value::Num(-0.0), "0"),
+            (Value::Num(-2.0), "-2"),
+            (Value::Num(1e-7), "0.0000001"),
+            (Value::Num(9_007_199_254_740_992.0), "9007199254740992"),
+            (Value::Num(1e20), "100000000000000000000"),
+            (Value::Num(f64::NEG_INFINITY), "null"),
+            (Value::UInt(u64::MAX), "18446744073709551615"),
+            (Value::Str("\n\r\u{1f}\u{7f}é"), "\"\\n\\r\\u001f\u{7f}é\""),
+        ];
+        for (value, text) in cases {
+            assert_eq!(to_string_pretty(&value), text, "{value:?}");
+        }
     }
 
     /// Mostly the chars an escape rule is about, plus any scalar value.
