@@ -90,8 +90,9 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, Serve
     let mut content_length = 0usize;
     let mut keep_alive = true;
     loop {
-        // A line cut short by EOF, even a bare `\r`, cannot end the head.
-        if read_header_line(&mut head, &mut line)? == 0 || !line.ends_with('\n') {
+        // EOF before a line's `\n`, even after a bare `\r`, leaves the head open.
+        read_header_line(&mut head, &mut line)?;
+        if !line.ends_with('\n') {
             return Err(ServeError::BadRequest { detail: "eof inside headers".to_string() });
         }
         let trimmed = line.trim_end();
