@@ -3,8 +3,8 @@
 //! The workspace writes JSON in two places, the metrics snapshot
 //! ([`crate::snapshot_json`]) and `frote_eval::export`, and never reads it
 //! back. Each builds a [`Value`] tree borrowed from its own data and prints
-//! it with [`to_string_pretty`], whose layout is `serde_json`'s pretty
-//! printer's:
+//! it with [`to_string_pretty`] in one fixed layout, pinned byte for byte
+//! by both callers' tests:
 //!
 //! - 2-space indent, `": "` between key and value, and `[]` / `{}` for
 //!   empty arrays and objects;
@@ -146,7 +146,7 @@ mod tests {
     }
 
     #[test]
-    fn scalars_print_like_serde_json() {
+    fn scalars_follow_the_number_and_escape_rules() {
         let cases = [
             (Value::Num(-0.0), "0"),
             (Value::Num(-2.0), "-2"),

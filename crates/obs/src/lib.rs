@@ -785,7 +785,7 @@ mod tests {
     // The writer's layout rules, checked directly.
 
     #[test]
-    fn pretty_format_matches_serde_json_style() {
+    fn pretty_format_indents_nested_containers() {
         use json::Value::{Array, Num, Object, Str};
         let v = Object(vec![
             ("dataset", Str("Car")),
