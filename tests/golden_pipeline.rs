@@ -130,6 +130,33 @@ fn run_goss() -> u64 {
     fnv1a(format!("{:?}", model.predict_dataset(&ds)).as_bytes())
 }
 
+/// The numeric WineQuality online-proxy scenario retrained by histogram
+/// GBDT at a coarse 16-bin budget: every retrain goes through
+/// `GbdtTrainer::train_cached`, so the loop's binned cache appends the
+/// accepted rows, truncates the rejected ones and rebins when the edges
+/// move. Quantization genuinely differs from the exact search here, so the
+/// run carries its own golden.
+fn run_hist_gbdt() -> u64 {
+    use frote_ml::gbdt::{GbdtParams, GbdtTrainer};
+    let ds = DatasetKind::WineQuality.generate(&SynthConfig { n_rows: 250, ..Default::default() });
+    let rule = parse_rule("alcohol >= 12 => 8", ds.schema()).unwrap();
+    let frs = FeedbackRuleSet::new(vec![rule]);
+    let trainer = GbdtTrainer::new(GbdtParams {
+        n_rounds: 8,
+        split_mode: SplitMode::Histogram { max_bins: 16 },
+        ..Default::default()
+    });
+    let config = FroteConfig {
+        iteration_limit: 3,
+        instances_per_iteration: Some(12),
+        selection: SelectionStrategy::OnlineProxy,
+        ..Default::default()
+    };
+    let mut rng = StdRng::seed_from_u64(21);
+    let out = Frote::new(config).run(&ds, &trainer, &frs, &mut rng).unwrap();
+    fnv1a(format!("{:?}|{:?}", out.dataset, out.report).as_bytes())
+}
+
 /// A two-rule Nursery scenario through the Eq. 5 integer program
 /// (`SelectionStrategy::Ip`): borderline kNN weights against the current
 /// model's predictions, the simplex and the rounding repair, end to end.
@@ -179,6 +206,8 @@ const GOLDEN_ONLINE: u64 = 0x95e7_5f49_4078_f82e;
 const GOLDEN_HIST_NUMERIC: u64 = 0x53e4_4701_4ba3_c2e6;
 /// Captured at PR 8 (first GOSS release).
 const GOLDEN_GOSS: u64 = 0xc87e_7f3b_cfc3_9443;
+/// Captured before histogram classification trees and GOSS were deleted.
+const GOLDEN_HIST_GBDT: u64 = 0x9751_6ca2_7a95_6712;
 /// Captured before base-instance selections were memoized: the memo must
 /// reproduce the recomputed selections byte for byte.
 const GOLDEN_IP: u64 = 0xb987_5e83_8dd6_56b2;
@@ -248,7 +277,8 @@ fn goss_training_pinned_at_1_2_and_4_threads() {
 #[test]
 fn histogram_pipeline_pinned_at_1_2_and_4_threads() {
     for t in [1usize, 2, 4] {
-        let (cat, num) = with_threads(t, || (run_hist_categorical(), run_hist_numeric()));
+        let (cat, num, gbdt) =
+            with_threads(t, || (run_hist_categorical(), run_hist_numeric(), run_hist_gbdt()));
         assert_eq!(
             cat, GOLDEN_RANDOM,
             "categorical histogram run must equal the exact-mode golden at {t} threads"
@@ -256,6 +286,10 @@ fn histogram_pipeline_pinned_at_1_2_and_4_threads() {
         assert_eq!(
             num, GOLDEN_HIST_NUMERIC,
             "histogram-mode pipeline drifted at {t} threads: {num:#018x}"
+        );
+        assert_eq!(
+            gbdt, GOLDEN_HIST_GBDT,
+            "histogram-GBDT pipeline drifted at {t} threads: {gbdt:#018x}"
         );
     }
 }
