@@ -31,11 +31,12 @@ pub struct CliOptions {
     /// (`FROTE_THREADS` env var → available parallelism). Results are
     /// bit-identical at any setting; only wall-clock changes.
     pub threads: Option<usize>,
-    /// Tree split-search override
+    /// LGBM split-search override
     /// (`--split-mode exact|histogram|histogram:<bins>`). `None` leaves the
     /// process-wide default (exact) untouched; `Some` installs the mode via
-    /// [`frote_ml::set_default_split_mode`] so every tree trainer the
-    /// experiment harness constructs picks it up.
+    /// [`frote_ml::set_default_split_mode`] so every GBDT trainer the
+    /// experiment harness constructs picks it up. LR and RF have one split
+    /// search each, so their rows do not move.
     pub split_mode: Option<frote_ml::SplitMode>,
     /// Write a JSON metrics snapshot to this path at the end of the run
     /// (`--metrics-out <path>`). Implies metric recording: `apply` turns

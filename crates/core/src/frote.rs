@@ -2,7 +2,7 @@
 
 use frote_data::Dataset;
 use frote_ml::{Classifier, TrainAlgorithm};
-use frote_obs::{trace, Counter, Gauge, Histogram};
+use frote_obs::{Counter, Gauge, Histogram};
 use frote_rules::FeedbackRuleSet;
 use rand::rngs::StdRng;
 
@@ -265,16 +265,6 @@ impl Frote {
                 // rejected ones.
                 select_cache.truncate_train(active.n_rows());
             }
-            trace::emit(
-                "frote.iteration",
-                &[
-                    ("iteration", i as f64),
-                    ("accepted", f64::from(u8::from(accepted))),
-                    ("proposed", synthetic.n_rows() as f64),
-                    ("objective", candidate_j.j),
-                    ("total_added", total_added as f64),
-                ],
-            );
             iterations.push(record);
             i += 1;
         }

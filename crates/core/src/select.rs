@@ -49,7 +49,7 @@ static MEMO_MISSES: Counter = Counter::new("select.memo_misses");
 /// - The incremental [`EncodedCache`] of `D̂` plus the LR proxy fitted from
 ///   it, for `OnlineProxy` and `JointNeighbors` (base rows encoded once,
 ///   the fit reused verbatim while the row count holds).
-/// - Train-side: the loop's [`TrainCache`], so histogram-mode tree
+/// - Train-side: the loop's [`TrainCache`], so histogram-mode GBDT
 ///   trainers bin base rows once and bin codes append incrementally
 ///   exactly like the encoded rows do, and the compiled rule-mask plane
 ///   the objective reads. These see candidate rows and are rolled back by

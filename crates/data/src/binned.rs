@@ -1,6 +1,6 @@
 //! Quantized feature codes: the histogram-training data plane.
 //!
-//! Histogram tree building (LightGBM's core systems trick) replaces per-node
+//! Histogram GBDT training (LightGBM's core systems trick) replaces per-node
 //! sorts of raw `f64` columns with scans over small per-feature bin codes.
 //! [`Binner`] fits per-feature quantile bin edges once per dataset; a
 //! [`BinnedMatrix`] holds every row's codes in one flat row-major buffer of
@@ -134,8 +134,7 @@ impl Binner {
 
     /// The fitted numeric bin edges of feature `f` (`None` for categorical
     /// features). Edges are sorted; code = number of edges `< v`, so
-    /// `bin(v) <= b ⟺ v <= edges[b]` — the contract the columnar rule
-    /// engine's bin-code predicate plans rely on.
+    /// `bin(v) <= b ⟺ v <= edges[b]`.
     pub fn numeric_edges(&self, f: usize) -> Option<&[f64]> {
         match &self.feats[f] {
             FeatBins::Numeric { edges, .. } => Some(edges),

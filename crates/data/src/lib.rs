@@ -16,7 +16,7 @@
 //!   for linear models and distance computations (incrementally appendable
 //!   via [`EncodedCache`]),
 //! - [`binned`] — quantized per-feature bin codes ([`Binner`] /
-//!   [`BinnedMatrix`] / [`BinnedCache`]) for histogram tree training,
+//!   [`BinnedMatrix`] / [`BinnedCache`]) for histogram GBDT training,
 //! - [`sync`] — the append-or-rebuild policy both incremental caches share
 //!   ([`IncrementalCache`] over a fitted [`sync::Plane`]),
 //! - [`split`] — deterministic train/test splitting utilities,

@@ -4,13 +4,11 @@
 //! with default settings except `max_depth = 3`, which
 //! [`RandomForestTrainer::default`] mirrors (100 trees, sqrt-features).
 
-use frote_data::{BinnedCache, BinnedMatrix, Binner, Dataset, Value};
+use frote_data::{Dataset, Value};
 use frote_par::SeedSplit;
 
-#[allow(unused_imports)] // doc links
-use crate::histogram::SplitMode;
 use crate::rank::RankTable;
-use crate::traits::{Classifier, TrainAlgorithm, TrainCache};
+use crate::traits::{Classifier, TrainAlgorithm};
 use crate::tree::{DecisionTree, TreeParams};
 
 /// Random forest hyper-parameters.
@@ -37,48 +35,13 @@ pub struct RandomForest {
 }
 
 impl RandomForest {
-    /// Fits a forest on `ds`. The exact search ranks the numeric columns
-    /// once and every tree sorts its nodes by the shared ranks; in
-    /// [`SplitMode::Histogram`] the dataset is quantized once and every
-    /// tree trains over the shared codes.
+    /// Fits a forest on `ds`. The numeric columns are ranked once and
+    /// every tree sorts its nodes by the shared ranks.
     ///
     /// # Panics
     ///
     /// Panics if `ds` is empty or `params.n_trees == 0`.
     pub fn fit(ds: &Dataset, params: &ForestParams, seed: u64) -> Self {
-        // GOSS degenerates to plain histogram mode here (no gradients).
-        match params.tree.split_mode.max_bins() {
-            None => Self::fit_impl(ds, params, seed, None),
-            Some(max_bins) => {
-                let binned = BinnedCache::fit(ds, max_bins);
-                Self::fit_impl(ds, params, seed, Some((binned.binner(), binned.codes())))
-            }
-        }
-    }
-
-    /// [`RandomForest::fit`] with the binning reused from a caller-held
-    /// [`TrainCache`] (FROTE's retrain loop bins only the appended rows).
-    pub fn fit_cached(
-        ds: &Dataset,
-        params: &ForestParams,
-        seed: u64,
-        cache: &mut TrainCache,
-    ) -> Self {
-        match params.tree.split_mode.max_bins() {
-            None => Self::fit_impl(ds, params, seed, None),
-            Some(max_bins) => {
-                let binned = cache.binned(ds, max_bins);
-                Self::fit_impl(ds, params, seed, Some((binned.binner(), binned.codes())))
-            }
-        }
-    }
-
-    fn fit_impl(
-        ds: &Dataset,
-        params: &ForestParams,
-        seed: u64,
-        binned: Option<(&Binner, &BinnedMatrix)>,
-    ) -> Self {
         assert!(!ds.is_empty(), "cannot train on an empty dataset");
         assert!(params.n_trees > 0, "forest needs at least one tree");
         let mut tree_params = params.tree;
@@ -90,20 +53,12 @@ impl RandomForest {
         // seed, so trees can be fitted in parallel while the ensemble stays
         // bit-identical at any `FROTE_THREADS`.
         let split = SeedSplit::new(seed);
-        let ranks = binned.is_none().then(|| RankTable::new(ds));
+        let ranks = RankTable::new(ds);
         let tree_ids: Vec<u64> = (0..params.n_trees as u64).collect();
         let trees = frote_par::par_map(&tree_ids, |&t| {
             let mut rng = split.stream(t);
             let sample = ds.bootstrap_indices(ds.n_rows(), &mut rng);
-            match binned {
-                None => {
-                    let ranks = ranks.as_ref().expect("exact fits build a rank table");
-                    DecisionTree::fit_ranked(ds, ranks, &sample, &tree_params, &mut rng)
-                }
-                Some((binner, codes)) => {
-                    DecisionTree::fit_hist(ds, binner, codes, &sample, &tree_params, &mut rng)
-                }
-            }
+            DecisionTree::fit_ranked(ds, &ranks, &sample, &tree_params, &mut rng)
         });
         RandomForest { trees, n_classes: ds.n_classes() }
     }
@@ -226,10 +181,6 @@ impl TrainAlgorithm for RandomForestTrainer {
         Box::new(RandomForest::fit(ds, &self.params, self.seed))
     }
 
-    fn train_cached(&self, ds: &Dataset, cache: &mut TrainCache) -> Box<dyn Classifier> {
-        Box::new(RandomForest::fit_cached(ds, &self.params, self.seed, cache))
-    }
-
     fn name(&self) -> &str {
         "RF"
     }
@@ -273,26 +224,6 @@ mod tests {
         let pa = a.predict_dataset(&ds);
         let pb = b.predict_dataset(&ds);
         assert_eq!(pa, pb);
-    }
-
-    #[test]
-    fn histogram_forest_is_deterministic_and_learns() {
-        let ds = DatasetKind::Car.generate(&SynthConfig { n_rows: 400, ..Default::default() });
-        let params = ForestParams {
-            n_trees: 10,
-            tree: TreeParams {
-                max_depth: 3,
-                split_mode: crate::histogram::SplitMode::histogram(),
-                ..Default::default()
-            },
-        };
-        let a = RandomForest::fit(&ds, &params, 5);
-        let mut cache = crate::traits::TrainCache::new();
-        let b = RandomForest::fit_cached(&ds, &params, 5, &mut cache);
-        let pa = a.predict_dataset(&ds);
-        assert_eq!(pa, b.predict_dataset(&ds), "cached and fresh binning agree");
-        let acc = accuracy(&pa, ds.labels());
-        assert!(acc > 0.6, "accuracy {acc}");
     }
 
     #[test]

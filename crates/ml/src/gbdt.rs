@@ -6,15 +6,14 @@
 //! additive-model formulation LightGBM uses. [`SplitMode::Histogram`] opts
 //! into LightGBM's histogram engineering too: the dataset is quantized once
 //! per fit and every tree of every round searches splits over gradient
-//! histograms (see [`crate::histogram`]). The default exact search ranks
+//! histograms (see [`crate::histogram`]); GBDT is the only family with a
+//! histogram search. The default exact search ranks
 //! each numeric column once per fit and orders every node's rows by a
 //! stable counting sort on those ranks (the `rank` module).
 
 use frote_data::{BinnedCache, BinnedMatrix, Binner, Column, Dataset, FeatureMatrix, Value};
-use frote_par::SeedSplit;
-use rand::Rng;
 
-use crate::histogram::{GossParams, HistContext, SplitMode};
+use crate::histogram::{HistContext, SplitMode};
 use crate::kernels;
 use crate::rank::RankTable;
 use crate::traits::{argmax, Classifier, TrainAlgorithm, TrainCache, PREDICT_BLOCK};
@@ -90,22 +89,19 @@ impl RegressionTree {
         params: &GbdtParams,
     ) -> usize {
         if depth >= params.max_depth || indices.len() < 2 * params.min_samples_leaf {
-            self.nodes
-                .push(RegNode::Leaf { value: newton_value(indices, targets, hessians, None) });
+            self.nodes.push(RegNode::Leaf { value: newton_value(indices, targets, hessians) });
             return self.nodes.len() - 1;
         }
         match best_regression_split(ds, ranks, indices, targets, params.min_samples_leaf) {
             None => {
-                self.nodes
-                    .push(RegNode::Leaf { value: newton_value(indices, targets, hessians, None) });
+                self.nodes.push(RegNode::Leaf { value: newton_value(indices, targets, hessians) });
                 self.nodes.len() - 1
             }
             Some((_, test)) => {
                 let mid = partition_in_place(ds, indices, &test);
                 if mid == 0 || mid == indices.len() {
-                    self.nodes.push(RegNode::Leaf {
-                        value: newton_value(indices, targets, hessians, None),
-                    });
+                    self.nodes
+                        .push(RegNode::Leaf { value: newton_value(indices, targets, hessians) });
                     return self.nodes.len() - 1;
                 }
                 let (li, ri) = indices.split_at_mut(mid);
@@ -129,24 +125,7 @@ impl RegressionTree {
         params: &GbdtParams,
     ) -> Self {
         let mut tree = RegressionTree { nodes: Vec::new() };
-        tree.grow_hist(ctx, indices, targets, hessians, None, 0, params, None);
-        tree
-    }
-
-    /// [`RegressionTree::fit_hist`] over a GOSS-sampled row subset with a
-    /// per-row weight plane: histogram counts/sums, node totals, and Newton
-    /// leaf values all accumulate `w`-weighted quantities, so the sampled
-    /// small-gradient rows stand in for the rows GOSS dropped.
-    fn fit_hist_weighted(
-        ctx: &HistContext,
-        indices: &mut [usize],
-        targets: &[f64],
-        hessians: &[f64],
-        weights: &[f64],
-        params: &GbdtParams,
-    ) -> Self {
-        let mut tree = RegressionTree { nodes: Vec::new() };
-        tree.grow_hist(ctx, indices, targets, hessians, Some(weights), 0, params, None);
+        tree.grow_hist(ctx, indices, targets, hessians, 0, params, None);
         tree
     }
 
@@ -157,33 +136,25 @@ impl RegressionTree {
         indices: &mut [usize],
         targets: &[f64],
         hessians: &[f64],
-        weights: Option<&[f64]>,
         depth: usize,
         params: &GbdtParams,
         hist: Option<Vec<f64>>,
     ) -> usize {
         if depth >= params.max_depth || indices.len() < 2 * params.min_samples_leaf {
-            self.nodes
-                .push(RegNode::Leaf { value: newton_value(indices, targets, hessians, weights) });
+            self.nodes.push(RegNode::Leaf { value: newton_value(indices, targets, hessians) });
             return self.nodes.len() - 1;
         }
-        let hist = hist.unwrap_or_else(|| match weights {
-            None => ctx.reg_hist(targets, indices),
-            Some(w) => ctx.reg_hist_weighted(targets, w, indices),
-        });
-        // Weighted fits score against the weighted row mass so node totals
-        // agree with the histogram's weighted counts.
-        let n = match weights {
-            None => indices.len() as f64,
-            Some(w) => indices.iter().map(|&i| w[i]).sum(),
-        };
-        let total = weighted_sum(targets, weights, indices);
-        let best = ctx.find_best_regression_split(&hist, n, total, params.min_samples_leaf);
+        let hist = hist.unwrap_or_else(|| ctx.reg_hist(targets, indices));
+        let total = kernels::gather_sum(targets, indices);
+        let best = ctx.find_best_regression_split(
+            &hist,
+            indices.len() as f64,
+            total,
+            params.min_samples_leaf,
+        );
         match best {
             None => {
-                self.nodes.push(RegNode::Leaf {
-                    value: newton_value(indices, targets, hessians, weights),
-                });
+                self.nodes.push(RegNode::Leaf { value: newton_value(indices, targets, hessians) });
                 self.nodes.len() - 1
             }
             Some(split) => {
@@ -195,9 +166,8 @@ impl RegressionTree {
                     }
                 }
                 if mid == 0 || mid == indices.len() {
-                    self.nodes.push(RegNode::Leaf {
-                        value: newton_value(indices, targets, hessians, weights),
-                    });
+                    self.nodes
+                        .push(RegNode::Leaf { value: newton_value(indices, targets, hessians) });
                     return self.nodes.len() - 1;
                 }
                 let test = ctx.to_split_test(split);
@@ -207,27 +177,21 @@ impl RegressionTree {
                 // only when the children can still split (`depth + 1` below
                 // the cap), else they leaf out without reading a histogram.
                 let (lh, rh) = if depth + 1 < params.max_depth {
-                    let build = |idx: &[usize]| match weights {
-                        None => ctx.reg_hist(targets, idx),
-                        Some(w) => ctx.reg_hist_weighted(targets, w, idx),
-                    };
                     let mut sibling = hist;
                     if li.len() <= ri.len() {
-                        let lh = build(li);
+                        let lh = ctx.reg_hist(targets, li);
                         HistContext::subtract_hist(&mut sibling, &lh);
                         (Some(lh), Some(sibling))
                     } else {
-                        let rh = build(ri);
+                        let rh = ctx.reg_hist(targets, ri);
                         HistContext::subtract_hist(&mut sibling, &rh);
                         (Some(sibling), Some(rh))
                     }
                 } else {
                     (None, None)
                 };
-                let left =
-                    self.grow_hist(ctx, li, targets, hessians, weights, depth + 1, params, lh);
-                let right =
-                    self.grow_hist(ctx, ri, targets, hessians, weights, depth + 1, params, rh);
+                let left = self.grow_hist(ctx, li, targets, hessians, depth + 1, params, lh);
+                let right = self.grow_hist(ctx, ri, targets, hessians, depth + 1, params, rh);
                 self.nodes.push(RegNode::Split { test, left, right });
                 self.nodes.len() - 1
             }
@@ -247,74 +211,14 @@ impl RegressionTree {
     }
 }
 
-fn newton_value(
-    indices: &[usize],
-    targets: &[f64],
-    hessians: &[f64],
-    weights: Option<&[f64]>,
-) -> f64 {
-    let g = weighted_sum(targets, weights, indices);
-    let h = weighted_sum(hessians, weights, indices);
+fn newton_value(indices: &[usize], targets: &[f64], hessians: &[f64]) -> f64 {
+    let g = kernels::gather_sum(targets, indices);
+    let h = kernels::gather_sum(hessians, indices);
     if h.abs() < 1e-12 {
         0.0
     } else {
         (g / h).clamp(-4.0, 4.0)
     }
-}
-
-/// `Σ values[i]` over `indices`, `w`-weighted when a GOSS weight plane is
-/// present. The unweighted arm stays on [`kernels::gather_sum`] so non-GOSS
-/// fits keep their exact historical accumulation order.
-fn weighted_sum(values: &[f64], weights: Option<&[f64]>, indices: &[usize]) -> f64 {
-    match weights {
-        None => kernels::gather_sum(values, indices),
-        Some(w) => indices.iter().map(|&i| w[i] * values[i]).sum(),
-    }
-}
-
-/// Rows per GOSS sampling stream: `goss_select` draws each row block's
-/// Bernoulli remainder from its own `SeedSplit` stream, so the chosen
-/// subset is a pure function of the gradients, the seed and this block
-/// size — never of `FROTE_THREADS`.
-const GOSS_STREAM_ROWS: usize = 64;
-
-/// GOSS row selection for one `(round, class)` tree: keep the `a·N` rows
-/// with the largest `|gradient|` (ties broken by row index), then sample
-/// `b` of the remaining rows with one `SeedSplit` stream per
-/// [`GOSS_STREAM_ROWS`]-row block, weighting the sampled rows by
-/// `(1 - a) / b`.
-fn goss_select(gradients: &[f64], goss: GossParams, stream: u64) -> (Vec<usize>, Vec<f64>) {
-    let n = gradients.len();
-    let top_k = ((n as f64) * goss.top_fraction()).round().min(n as f64) as usize;
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_unstable_by(|&a, &b| {
-        gradients[b].abs().total_cmp(&gradients[a].abs()).then(a.cmp(&b))
-    });
-    let mut selected = vec![false; n];
-    let mut weights = vec![1.0; n];
-    for &i in &order[..top_k] {
-        selected[i] = true;
-    }
-    let amplify = goss.amplify();
-    let block_split = SeedSplit::new(SeedSplit::new(goss.seed).seed(stream));
-    let b = goss.rest_fraction();
-    let mut block = usize::MAX;
-    let mut rng = block_split.stream(0);
-    for i in 0..n {
-        if selected[i] {
-            continue;
-        }
-        if i / GOSS_STREAM_ROWS != block {
-            block = i / GOSS_STREAM_ROWS;
-            rng = block_split.stream(block as u64);
-        }
-        if rng.random::<f64>() < b {
-            selected[i] = true;
-            weights[i] = amplify;
-        }
-    }
-    let indices: Vec<usize> = (0..n).filter(|&i| selected[i]).collect();
-    (indices, weights)
 }
 
 /// Variance-reduction split search (numeric `<=` and categorical one-vs-rest,
@@ -406,8 +310,6 @@ impl Gbdt {
     ///
     /// Panics if `ds` is empty.
     pub fn fit(ds: &Dataset, params: &GbdtParams) -> Self {
-        // `SplitMode::Goss` quantizes exactly like `Histogram`; the row
-        // sampling happens per round inside `fit_impl`.
         match params.split_mode.max_bins() {
             None => Self::fit_impl(ds, params, None),
             Some(max_bins) => {
@@ -439,10 +341,6 @@ impl Gbdt {
         // Exact fits rank every numeric column once; all the fit's trees
         // share the table.
         let ranks = ctx.is_none().then(|| RankTable::new(ds));
-        let goss = match params.split_mode {
-            SplitMode::Goss { goss, .. } => Some(goss),
-            _ => None,
-        };
         let n = ds.n_rows();
         let k = ds.n_classes();
         // Base score: log prior per class.
@@ -457,7 +355,7 @@ impl Gbdt {
         let mut probs = vec![0.0; k];
         let mut residuals = FeatureMatrix::from_raw(n, vec![0.0; n * k]);
         let mut hessians = FeatureMatrix::from_raw(n, vec![0.0; n * k]);
-        for round in 0..params.n_rounds {
+        for _ in 0..params.n_rounds {
             for i in 0..n {
                 kernels::softmax_into(scores.row(i), &mut probs);
                 let y = ds.label(i) as usize;
@@ -472,41 +370,13 @@ impl Gbdt {
             // so the result is identical to the interleaved serial order).
             let classes: Vec<usize> = (0..k).collect();
             let round_trees = frote_par::par_map(&classes, |&c| {
-                match (&ctx, goss) {
-                    (Some(ctx), Some(goss)) => {
-                        // One decorrelated GOSS stream per (round, class).
-                        let stream = (round * k + c) as u64;
-                        let (mut idx, weights) = goss_select(residuals.row(c), goss, stream);
-                        RegressionTree::fit_hist_weighted(
-                            ctx,
-                            &mut idx,
-                            residuals.row(c),
-                            hessians.row(c),
-                            &weights,
-                            params,
-                        )
-                    }
-                    (Some(ctx), None) => {
-                        let mut idx: Vec<usize> = (0..n).collect();
-                        RegressionTree::fit_hist(
-                            ctx,
-                            &mut idx,
-                            residuals.row(c),
-                            hessians.row(c),
-                            params,
-                        )
-                    }
-                    (None, _) => {
+                let mut idx: Vec<usize> = (0..n).collect();
+                let (targets, hessians) = (residuals.row(c), hessians.row(c));
+                match &ctx {
+                    Some(ctx) => RegressionTree::fit_hist(ctx, &mut idx, targets, hessians, params),
+                    None => {
                         let ranks = ranks.as_ref().expect("exact fits build a rank table");
-                        let mut idx: Vec<usize> = (0..n).collect();
-                        RegressionTree::fit(
-                            ds,
-                            ranks,
-                            &mut idx,
-                            residuals.row(c),
-                            hessians.row(c),
-                            params,
-                        )
+                        RegressionTree::fit(ds, ranks, &mut idx, targets, hessians, params)
                     }
                 }
             });
@@ -731,54 +601,6 @@ mod tests {
         let cached = Gbdt::fit_cached(&ds, &params, &mut cache);
         let fresh = Gbdt::fit(&ds, &params);
         assert_eq!(cached.predict_dataset(&ds), fresh.predict_dataset(&ds));
-    }
-
-    #[test]
-    fn goss_select_keeps_top_gradients_and_amplifies_the_rest() {
-        let gradients: Vec<f64> = (0..100).map(|i| (i as f64) / 100.0 - 0.5).collect();
-        let goss = GossParams { top_permille: 200, rest_permille: 500, seed: 11 };
-        let (indices, weights) = goss_select(&gradients, goss, 0);
-        // The 20 largest |gradient| rows are always in, at weight 1.
-        let top: Vec<usize> = {
-            let mut order: Vec<usize> = (0..100).collect();
-            order.sort_unstable_by(|&a, &b| {
-                gradients[b].abs().total_cmp(&gradients[a].abs()).then(a.cmp(&b))
-            });
-            order[..20].to_vec()
-        };
-        for &i in &top {
-            assert!(indices.contains(&i), "top row {i} dropped");
-            assert_eq!(weights[i], 1.0);
-        }
-        // Sampled remainder rows carry the (1 - a) / b amplifier.
-        let amp = goss.amplify();
-        for &i in indices.iter().filter(|i| !top.contains(i)) {
-            assert_eq!(weights[i], amp);
-        }
-        assert!(indices.len() > 20, "sampling kept nothing at b = 0.5");
-        assert!(indices.len() < 100, "sampling kept everything");
-        assert!(indices.windows(2).all(|w| w[0] < w[1]), "indices ascend");
-        // Same inputs, same subset; different stream, different subset.
-        assert_eq!(goss_select(&gradients, goss, 0).0, indices);
-        assert_ne!(goss_select(&gradients, goss, 1).0, indices);
-    }
-
-    #[test]
-    fn goss_mode_is_thread_invariant_and_learns() {
-        let ds = DatasetKind::Car.generate(&SynthConfig { n_rows: 600, ..Default::default() });
-        let params =
-            GbdtParams { n_rounds: 12, split_mode: SplitMode::goss(7), ..Default::default() };
-        let fit_at = |threads: usize| {
-            frote_par::test_support::with_threads(threads, || {
-                Gbdt::fit(&ds, &params).predict_dataset(&ds)
-            })
-        };
-        let base = fit_at(1);
-        for t in [2usize, 4] {
-            assert_eq!(fit_at(t), base, "GOSS fit drifted at FROTE_THREADS={t}");
-        }
-        let acc = accuracy(&base, ds.labels());
-        assert!(acc > 0.7, "GOSS accuracy {acc}");
     }
 
     /// The per-node comparison-sort search the rank table replaced, kept

@@ -1,26 +1,22 @@
-//! Histogram split search over quantized bin codes.
+//! Histogram split search over quantized bin codes, for boosted trees.
 //!
 //! The training-side counterpart of [`frote_data::binned`]: instead of
-//! sorting raw `f64` columns at every node, trees in
-//! [`SplitMode::Histogram`] build per-feature class/gradient histograms with
-//! one linear pass over the node's rows (in parallel over fixed row blocks,
-//! reduced in block order so results are bit-identical at any
-//! `FROTE_THREADS`), scan bin boundaries for the best split, and derive each
-//! larger sibling's histogram by subtraction from its parent. Split tests
-//! are emitted as raw-value [`SplitTest`]s (bin edges double as thresholds),
-//! so histogram-trained models predict on unbinned rows exactly like
+//! ranking raw `f64` columns, GBDT in [`SplitMode::Histogram`] builds
+//! per-feature gradient histograms with one linear pass over a node's rows
+//! (in parallel over fixed row blocks, reduced in block order so results
+//! are bit-identical at any `FROTE_THREADS`), scans bin boundaries for the
+//! best variance-reduction split, and derives each larger sibling's
+//! histogram by subtraction from its parent. Split tests are emitted as
+//! raw-value [`SplitTest`]s (bin edges double as thresholds), so
+//! histogram-trained models predict on unbinned rows exactly like
 //! exact-mode models.
-//!
-//! With a bin budget at least as large as the number of distinct values,
-//! the histogram search evaluates the same candidate partitions in the same
-//! order as the exact search and therefore reproduces its decisions node for
-//! node (pinned by `tests/prop_hist_split.rs`).
 //!
 //! Wide schemas additionally build feature-parallel (each parallel task
 //! owns a block of features and its whole bin slice — zero shared writes),
 //! which preserves the per-slot reduction order exactly and is therefore
 //! bit-identical too.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use frote_data::{BinnedMatrix, Binner};
@@ -53,50 +49,7 @@ static BINS_ZEROED: Counter = Counter::new("hist.bins_zeroed");
 /// per-node threshold cap, and small enough for `u8` codes.
 pub const DEFAULT_MAX_BINS: usize = 64;
 
-/// GOSS (gradient-based one-side sampling) knobs for
-/// [`SplitMode::Goss`]. Fractions are stored in permille so the mode stays
-/// `Copy + Eq + Hash` like every other [`SplitMode`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct GossParams {
-    /// Permille (`0..=1000`) of rows kept outright — the largest
-    /// `|gradient|` rows (LightGBM's `a`).
-    pub top_permille: u16,
-    /// Permille (`0..=1000`) of the *remaining* rows sampled uniformly
-    /// (LightGBM's `b`). Must be positive.
-    pub rest_permille: u16,
-    /// Base seed of the per-row-block `SeedSplit` sampling streams.
-    pub seed: u64,
-}
-
-impl GossParams {
-    /// LightGBM's defaults: keep the top 20% by `|gradient|`, sample 10% of
-    /// the rest.
-    pub const fn new(seed: u64) -> GossParams {
-        GossParams { top_permille: 200, rest_permille: 100, seed }
-    }
-
-    /// `a`: fraction of rows kept outright.
-    pub fn top_fraction(self) -> f64 {
-        f64::from(self.top_permille) / 1000.0
-    }
-
-    /// `b`: sampling fraction over the non-top rows.
-    pub fn rest_fraction(self) -> f64 {
-        f64::from(self.rest_permille) / 1000.0
-    }
-
-    /// `(1 - a) / b`: the weight amplifier applied to sampled small-gradient
-    /// rows so histogram totals stay unbiased.
-    pub fn amplify(self) -> f64 {
-        (1.0 - self.top_fraction()) / self.rest_fraction()
-    }
-
-    fn valid(self) -> bool {
-        self.top_permille <= 1000 && self.rest_permille >= 1 && self.rest_permille <= 1000
-    }
-}
-
-/// How tree trainers search for splits.
+/// How GBDT searches for splits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SplitMode {
     /// Raw-value search with quantile-thinned thresholds: each numeric
@@ -110,17 +63,6 @@ pub enum SplitMode {
         /// Per-feature bin budget (at least 2).
         max_bins: usize,
     },
-    /// Histogram search plus GOSS row sampling on the boosting gradient
-    /// plane: each round keeps the top `a·N` rows by `|gradient|`, samples
-    /// `b·N` of the rest deterministically per row block, and upweights the
-    /// sampled rows by `(1 - a) / b`. Classification trees (which have no
-    /// gradients) train exactly like [`SplitMode::Histogram`].
-    Goss {
-        /// Per-feature bin budget (at least 2).
-        max_bins: usize,
-        /// Row-sampling fractions and seed.
-        goss: GossParams,
-    },
 }
 
 impl SplitMode {
@@ -129,46 +71,22 @@ impl SplitMode {
         SplitMode::Histogram { max_bins: DEFAULT_MAX_BINS }
     }
 
-    /// GOSS mode with the [`DEFAULT_MAX_BINS`] budget and default fractions.
-    pub fn goss(seed: u64) -> SplitMode {
-        SplitMode::Goss { max_bins: DEFAULT_MAX_BINS, goss: GossParams::new(seed) }
-    }
-
-    /// Whether this mode trains on the quantized histogram plane.
-    pub fn is_histogram(self) -> bool {
-        matches!(self, SplitMode::Histogram { .. } | SplitMode::Goss { .. })
-    }
-
     /// Per-feature bin budget, when on the histogram plane.
     pub fn max_bins(self) -> Option<usize> {
         match self {
             SplitMode::Exact => None,
-            SplitMode::Histogram { max_bins } | SplitMode::Goss { max_bins, .. } => Some(max_bins),
+            SplitMode::Histogram { max_bins } => Some(max_bins),
         }
     }
 
-    /// Parses `"exact"`, `"histogram"`, `"histogram:<max_bins>"`, `"goss"`,
-    /// or `"goss:<max_bins>:<top_permille>:<rest_permille>:<seed>"`
+    /// Parses `"exact"`, `"histogram"` or `"histogram:<max_bins>"`
     /// (case-insensitive).
     pub fn parse(s: &str) -> Option<SplitMode> {
         let lower = s.to_ascii_lowercase();
         match lower.as_str() {
             "exact" => Some(SplitMode::Exact),
             "histogram" => Some(SplitMode::histogram()),
-            "goss" => Some(SplitMode::goss(0)),
             _ => {
-                if let Some(rest) = lower.strip_prefix("goss:") {
-                    let parts: Vec<&str> = rest.split(':').collect();
-                    let [bins, top, rest_p, seed] = parts.as_slice() else { return None };
-                    let max_bins: usize = bins.parse().ok()?;
-                    let goss = GossParams {
-                        top_permille: top.parse().ok()?,
-                        rest_permille: rest_p.parse().ok()?,
-                        seed: seed.parse().ok()?,
-                    };
-                    return (max_bins >= 2 && goss.valid())
-                        .then_some(SplitMode::Goss { max_bins, goss });
-                }
                 let bins: usize = lower.strip_prefix("histogram:")?.parse().ok()?;
                 (bins >= 2).then_some(SplitMode::Histogram { max_bins: bins })
             }
@@ -180,33 +98,26 @@ impl SplitMode {
         match self {
             SplitMode::Exact => "exact".to_string(),
             SplitMode::Histogram { max_bins } => format!("histogram:{max_bins}"),
-            SplitMode::Goss { max_bins, goss } => format!(
-                "goss:{max_bins}:{}:{}:{}",
-                goss.top_permille, goss.rest_permille, goss.seed
-            ),
         }
     }
 }
 
-/// Process-wide default split mode picked up by `TreeParams::default` /
-/// `GbdtParams::default` (0 = exact, n >= 2 = histogram with `max_bins` n) —
-/// the `--split-mode` counterpart of `frote_par::set_threads`.
+/// Process-wide default split mode picked up by `GbdtParams::default`
+/// (0 = exact, n >= 2 = histogram with `max_bins` n) — the `--split-mode`
+/// counterpart of `frote_par::set_threads`.
 static SPLIT_MODE_DEFAULT: AtomicUsize = AtomicUsize::new(0);
 
 /// Sets the process-wide default [`SplitMode`] that freshly constructed
-/// `TreeParams` / `GbdtParams` (and everything built from their defaults)
-/// pick up — how the repro binaries' `--split-mode` flag reaches trainers
-/// constructed deep inside the experiment harness. Explicitly constructed
-/// params are unaffected.
+/// `GbdtParams` (and every LGBM trainer built from their defaults) pick up —
+/// how the repro binaries' `--split-mode` flag reaches trainers constructed
+/// deep inside the experiment harness. Explicitly constructed params, and
+/// the exact-only LR and RF families, are unaffected.
 pub fn set_default_split_mode(mode: SplitMode) {
     let encoded = match mode {
         SplitMode::Exact => 0,
         SplitMode::Histogram { max_bins } => {
             assert!(max_bins >= 2, "max_bins must be at least 2");
             max_bins
-        }
-        SplitMode::Goss { .. } => {
-            panic!("GOSS cannot be the process-wide default; set it on the params explicitly")
         }
     };
     SPLIT_MODE_DEFAULT.store(encoded, Ordering::Relaxed);
@@ -287,134 +198,29 @@ impl<'a> HistContext<'a> {
         }
     }
 
-    /// Compact candidate layout for a node's sampled `features`: the flat
-    /// bin offset of each candidate (parallel to `features`, in the given —
-    /// possibly shuffled — order) and the total candidate slot count. Under
-    /// RF's √F per-node subsampling this is what lets a node allocate, zero,
-    /// and reduce only the sampled features' bins instead of the full
-    /// `total_bins × n_classes` buffer; with `features = 0..n_features()`
-    /// it degenerates to the full layout (`offsets() == candidate offsets`),
-    /// which is what keeps sibling subtraction valid.
-    pub(crate) fn candidate_layout(&self, features: &[usize]) -> (Vec<usize>, usize) {
-        debug_assert!(
-            {
-                let mut seen = vec![false; self.n_features()];
-                features.iter().all(|&f| !std::mem::replace(&mut seen[f], true))
-            },
-            "candidate features must be distinct"
-        );
-        let mut offsets = Vec::with_capacity(features.len());
-        let mut total = 0usize;
-        for &f in features {
-            offsets.push(total);
-            total += self.n_bins(f);
-        }
-        (offsets, total)
-    }
-
-    /// Per-(candidate-feature, bin, class) counts for the node's rows over
-    /// `features`, as one flat compact buffer laid out by
-    /// [`HistContext::candidate_layout`] — only the sampled features'
-    /// `Σ n_bins(f) × n_classes` slots exist, so nothing is allocated,
-    /// zeroed, or reduced for unsampled features. Built in parallel over
-    /// fixed row blocks and reduced in block order (bit-identical at any
-    /// thread count; counts are exact integers).
-    pub(crate) fn class_hist(
-        &self,
-        labels: &[u32],
-        indices: &[usize],
-        features: &[usize],
-        n_classes: usize,
-    ) -> Vec<f64> {
-        let (offsets, total) = self.candidate_layout(features);
-        let size = total * n_classes;
-        NODES_BUILT.inc();
-        let hist = if features.len() >= FEATURE_PAR_MIN && indices.len() > HIST_BLOCK {
-            let mut starts: Vec<usize> = offsets.iter().map(|o| o * n_classes).collect();
-            starts.push(size);
-            self.build_hist_featpar(indices, &starts, |i, positions, base, h| {
-                let y = labels[i] as usize;
-                for p in positions {
-                    let f = features[p];
-                    h[(offsets[p] + self.codes.code(i, f)) * n_classes + y - base] += 1.0;
-                }
-            })
-        } else {
-            self.build_hist(indices, size, |i, h| {
-                let y = labels[i] as usize;
-                for (p, &f) in features.iter().enumerate() {
-                    h[(offsets[p] + self.codes.code(i, f)) * n_classes + y] += 1.0;
-                }
-            })
-        };
-        // Every sampled feature's bins partition the node's rows; together
-        // with the compact allocation this proves no slot outside the
-        // sampled features' blocks was ever written (there are none).
-        debug_assert!(
-            features.iter().enumerate().all(|(p, &f)| {
-                let block =
-                    &hist[offsets[p] * n_classes..(offsets[p] + self.n_bins(f)) * n_classes];
-                block.iter().sum::<f64>() == indices.len() as f64
-            }),
-            "candidate histogram blocks must each count every node row exactly once"
-        );
-        hist
-    }
-
     /// Per-(feature, bin) `(count, target-sum)` pairs for the node's rows,
-    /// as one flat `total_bins * 2` buffer (stride 2), built like
-    /// [`HistContext::class_hist`]. Gradient sums are floats, so the
-    /// fixed-order block reduction is what keeps them thread-count-invariant.
+    /// as one flat `total_bins * 2` buffer (stride 2), built in parallel
+    /// over fixed row blocks. Gradient sums are floats, so the fixed-order
+    /// block reduction is what keeps them thread-count-invariant.
     pub(crate) fn reg_hist(&self, targets: &[f64], indices: &[usize]) -> Vec<f64> {
-        let size = self.total_bins * 2;
         NODES_BUILT.inc();
+        // Adds row `i` to the slots of `features` in a buffer whose first
+        // element is flat element `base`.
+        let accumulate = |i: usize, features: Range<usize>, base: usize, h: &mut [f64]| {
+            let t = targets[i];
+            for f in features {
+                let s = self.slot(i, f) * 2 - base;
+                h[s] += 1.0;
+                h[s + 1] += t;
+            }
+        };
         if self.n_features() >= FEATURE_PAR_MIN && indices.len() > HIST_BLOCK {
-            let mut starts: Vec<usize> = self.offsets.iter().map(|o| o * 2).collect();
-            starts.push(size);
-            self.build_hist_featpar(indices, &starts, |i, positions, base, h| {
-                let t = targets[i];
-                for f in positions {
-                    let s = self.slot(i, f) * 2 - base;
-                    h[s] += 1.0;
-                    h[s + 1] += t;
-                }
-            })
+            self.build_hist_featpar(indices, accumulate)
         } else {
-            self.build_hist(indices, size, |i, h| {
-                let t = targets[i];
-                for f in 0..self.n_features() {
-                    let s = self.slot(i, f) * 2;
-                    h[s] += 1.0;
-                    h[s + 1] += t;
-                }
+            self.build_hist(indices, self.total_bins * 2, |i, h| {
+                accumulate(i, 0..self.n_features(), 0, h)
             })
         }
-    }
-
-    /// [`HistContext::reg_hist`] with a per-row weight plane (the GOSS
-    /// `(1 - a) / b` amplifier): counts accumulate `w`, target sums `w·t`.
-    /// With all weights at `1.0` this is NOT bit-guaranteed to equal
-    /// `reg_hist` (the multiply may round differently from the plain add
-    /// path is a non-issue — `1.0 * t == t` exactly — but the dispatch
-    /// differs), so the unweighted path stays the default everywhere GOSS
-    /// is off.
-    pub(crate) fn reg_hist_weighted(
-        &self,
-        targets: &[f64],
-        weights: &[f64],
-        indices: &[usize],
-    ) -> Vec<f64> {
-        let size = self.total_bins * 2;
-        NODES_BUILT.inc();
-        self.build_hist(indices, size, |i, h| {
-            let w = weights[i];
-            let wt = w * targets[i];
-            for f in 0..self.n_features() {
-                let s = self.slot(i, f) * 2;
-                h[s] += w;
-                h[s + 1] += wt;
-            }
-        })
     }
 
     fn build_hist(
@@ -445,27 +251,27 @@ impl<'a> HistContext<'a> {
     }
 
     /// Feature-parallel build for wide schemas: each parallel task owns a
-    /// block of candidate positions and that block's whole slice of bin
-    /// slots (`starts` maps position → first flat slot; `starts.len()` is
-    /// positions + 1), so there are zero shared writes. Within a block the
-    /// rows are chunked by the same fixed [`HIST_BLOCK`] as the row-parallel
-    /// build and the first chunk accumulates straight into the zeroed
-    /// output buffer, so every slot sees the exact per-chunk addition
-    /// sequence of [`HistContext::build_hist`] — bit-identical, including
-    /// signed zeros.
+    /// block of features and that block's whole slice of bin slots, so
+    /// there are zero shared writes. Within a block the rows are chunked by
+    /// the same fixed [`HIST_BLOCK`] as the row-parallel build and the
+    /// first chunk accumulates straight into the zeroed output buffer, so
+    /// every slot sees the exact per-chunk addition sequence of
+    /// [`HistContext::build_hist`] — bit-identical, including signed zeros.
     fn build_hist_featpar(
         &self,
         indices: &[usize],
-        starts: &[usize],
-        accumulate: impl Fn(usize, std::ops::Range<usize>, usize, &mut [f64]) + Sync,
+        accumulate: impl Fn(usize, Range<usize>, usize, &mut [f64]) + Sync,
     ) -> Vec<f64> {
-        let n_pos = starts.len() - 1;
-        let size = *starts.last().unwrap();
-        let blocks: Vec<std::ops::Range<usize>> =
-            (0..n_pos).step_by(FEATURE_BLOCK).map(|p| p..(p + FEATURE_BLOCK).min(n_pos)).collect();
+        let n_features = self.n_features();
+        // First flat element of feature `f` (`n_features` = one past the end).
+        let start = |f: usize| 2 * self.offsets.get(f).copied().unwrap_or(self.total_bins);
+        let blocks: Vec<Range<usize>> = (0..n_features)
+            .step_by(FEATURE_BLOCK)
+            .map(|f| f..(f + FEATURE_BLOCK).min(n_features))
+            .collect();
         let parts = frote_par::par_map(&blocks, |block| {
-            let base = starts[block.start];
-            let len = starts[block.end] - base;
+            let base = start(block.start);
+            let len = start(block.end) - base;
             BINS_ZEROED.add(len as u64);
             let mut acc = vec![0.0; len];
             let mut chunks = indices.chunks(HIST_BLOCK);
@@ -485,7 +291,7 @@ impl<'a> HistContext<'a> {
             }
             acc
         });
-        let mut out = Vec::with_capacity(size);
+        let mut out = Vec::with_capacity(start(n_features));
         for part in parts {
             out.extend_from_slice(&part);
         }
@@ -500,120 +306,6 @@ impl<'a> HistContext<'a> {
         for (p, c) in parent.iter_mut().zip(child) {
             *p -= c;
         }
-    }
-
-    /// Gini-optimal split over `features` read from a compact candidate
-    /// histogram (the [`HistContext::class_hist`] layout) — the quantized
-    /// mirror of the exact `find_best_split`: same candidate order (features
-    /// as given; boundaries ascending), same strict-`<` tie-breaking, same
-    /// `min_leaf` and minimum-gain filters. The layout remap cannot move a
-    /// decision: each feature's block holds the same counts at the same
-    /// within-feature positions as the full layout did.
-    pub(crate) fn find_best_split(
-        &self,
-        hist: &[f64],
-        features: &[usize],
-        parent_counts: &[f64],
-        n_classes: usize,
-        min_leaf: usize,
-    ) -> Option<BinSplit> {
-        let (offsets, total) = self.candidate_layout(features);
-        debug_assert_eq!(hist.len(), total * n_classes, "histogram/layout size mismatch");
-        let n: f64 = parent_counts.iter().sum();
-        let parent_gini = gini(parent_counts, n);
-        let mut best: Option<(f64, BinSplit)> = None;
-        let mut left_counts = vec![0.0; n_classes];
-        for (p, &f) in features.iter().enumerate() {
-            let bins = self.n_bins(f);
-            let base = offsets[p];
-            let feature_best = if self.binner.is_numeric(f) {
-                self.best_numeric(hist, f, base, bins, parent_counts, &mut left_counts, min_leaf, n)
-            } else {
-                self.best_categorical(hist, f, base, bins, parent_counts, min_leaf, n)
-            };
-            if let Some((child_gini, split)) = feature_best {
-                let gain = parent_gini - child_gini;
-                if gain > 1e-12 && best.as_ref().is_none_or(|(bg, _)| child_gini < *bg) {
-                    best = Some((child_gini, split));
-                }
-            }
-        }
-        best.map(|(_, s)| s)
-    }
-
-    /// Scans the numeric boundaries of feature `f` left to right,
-    /// accumulating per-class counts — one pass over `bins * n_classes`
-    /// histogram slots instead of a sort of the node's rows.
-    #[allow(clippy::too_many_arguments)] // flat hot-loop state, called from one site
-    fn best_numeric(
-        &self,
-        hist: &[f64],
-        feature: usize,
-        base: usize,
-        bins: usize,
-        parent_counts: &[f64],
-        left_counts: &mut [f64],
-        min_leaf: usize,
-        n: f64,
-    ) -> Option<(f64, BinSplit)> {
-        let n_classes = parent_counts.len();
-        left_counts.fill(0.0);
-        let mut left_total = 0.0;
-        let mut best: Option<(f64, BinSplit)> = None;
-        for b in 0..bins.saturating_sub(1) {
-            let row = &hist[(base + b) * n_classes..(base + b + 1) * n_classes];
-            for (l, &c) in left_counts.iter_mut().zip(row) {
-                *l += c;
-                left_total += c;
-            }
-            if (left_total as usize) < min_leaf || ((n - left_total) as usize) < min_leaf {
-                continue;
-            }
-            let right_total = n - left_total;
-            let right_counts: Vec<f64> =
-                parent_counts.iter().zip(left_counts.iter()).map(|(p, l)| p - l).collect();
-            let child = (left_total * gini(left_counts, left_total)
-                + right_total * gini(&right_counts, right_total))
-                / n;
-            if best.as_ref().is_none_or(|(bg, _)| child < *bg) {
-                best = Some((child, BinSplit::NumLe { feature, bin: b }));
-            }
-        }
-        best
-    }
-
-    /// One-vs-rest scan over categorical bins — identical arithmetic to the
-    /// exact categorical search (categories are already bins).
-    #[allow(clippy::too_many_arguments)] // flat hot-loop state, called from one site
-    fn best_categorical(
-        &self,
-        hist: &[f64],
-        feature: usize,
-        base: usize,
-        bins: usize,
-        parent_counts: &[f64],
-        min_leaf: usize,
-        n: f64,
-    ) -> Option<(f64, BinSplit)> {
-        let n_classes = parent_counts.len();
-        let mut best: Option<(f64, BinSplit)> = None;
-        for b in 0..bins {
-            let row = &hist[(base + b) * n_classes..(base + b + 1) * n_classes];
-            let left_total: f64 = row.iter().sum();
-            let right_total = n - left_total;
-            if (left_total as usize) < min_leaf || (right_total as usize) < min_leaf {
-                continue;
-            }
-            let right_counts: Vec<f64> =
-                parent_counts.iter().zip(row).map(|(p, l)| p - l).collect();
-            let child = (left_total * gini(row, left_total)
-                + right_total * gini(&right_counts, right_total))
-                / n;
-            if best.as_ref().is_none_or(|(bg, _)| child < *bg) {
-                best = Some((child, BinSplit::CatEq { feature, bin: b }));
-            }
-        }
-        best
     }
 
     /// Variance-reduction split from a regression histogram — the quantized
@@ -666,15 +358,6 @@ impl<'a> HistContext<'a> {
     }
 }
 
-/// Gini impurity of a count vector with the given total (0 for empty sets) —
-/// shared with the exact search so both modes score identically.
-pub(crate) fn gini(counts: &[f64], total: f64) -> f64 {
-    if total <= 0.0 {
-        return 0.0;
-    }
-    1.0 - counts.iter().map(|&c| (c / total) * (c / total)).sum::<f64>()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -701,52 +384,11 @@ mod tests {
         assert_eq!(SplitMode::parse("histogram:128"), Some(SplitMode::Histogram { max_bins: 128 }));
         assert_eq!(SplitMode::parse("histogram:1"), None, "budget below 2 rejected");
         assert_eq!(SplitMode::parse("sorted"), None);
-        assert_eq!(SplitMode::parse("GOSS"), Some(SplitMode::goss(0)));
-        assert_eq!(
-            SplitMode::parse("goss:32:300:150:7"),
-            Some(SplitMode::Goss {
-                max_bins: 32,
-                goss: GossParams { top_permille: 300, rest_permille: 150, seed: 7 },
-            })
-        );
-        assert_eq!(SplitMode::parse("goss:1:200:100:0"), None, "budget below 2 rejected");
-        assert_eq!(SplitMode::parse("goss:32:200:0:0"), None, "zero sampling fraction rejected");
-        assert_eq!(SplitMode::parse("goss:32:1001:100:0"), None, "fraction above 1 rejected");
-        for mode in [
-            SplitMode::Exact,
-            SplitMode::Histogram { max_bins: 77 },
-            SplitMode::goss(41),
-            SplitMode::Goss {
-                max_bins: 8,
-                goss: GossParams { top_permille: 250, rest_permille: 125, seed: 3 },
-            },
-        ] {
+        for mode in [SplitMode::Exact, SplitMode::Histogram { max_bins: 77 }] {
             assert_eq!(SplitMode::parse(&mode.name()), Some(mode));
         }
-        assert!(SplitMode::goss(0).is_histogram());
-        assert_eq!(SplitMode::goss(0).max_bins(), Some(DEFAULT_MAX_BINS));
+        assert_eq!(SplitMode::histogram().max_bins(), Some(DEFAULT_MAX_BINS));
         assert_eq!(SplitMode::Exact.max_bins(), None);
-        let amp = GossParams::new(0).amplify();
-        assert!((amp - 8.0).abs() < 1e-12, "(1 - 0.2) / 0.1 = 8, got {amp}");
-    }
-
-    #[test]
-    fn class_hist_counts_every_row_once() {
-        let ds = two_feature_ds();
-        let binner = Binner::fit(&ds, 16);
-        let codes = binner.bin_dataset(&ds);
-        let ctx = HistContext::new(&binner, &codes);
-        let indices: Vec<usize> = (0..ds.n_rows()).collect();
-        let features: Vec<usize> = (0..ds.n_features()).collect();
-        let hist = ctx.class_hist(ds.labels(), &indices, &features, 2);
-        // Every feature's bins partition the rows.
-        for f in 0..ctx.n_features() {
-            let total: f64 = (0..ctx.n_bins(f))
-                .flat_map(|b| (0..2).map(move |c| (b, c)))
-                .map(|(b, c)| hist[(ctx.offsets[f] + b) * 2 + c])
-                .sum();
-            assert_eq!(total, ds.n_rows() as f64, "feature {f}");
-        }
     }
 
     #[test]
@@ -792,17 +434,9 @@ mod tests {
         let codes = binner.bin_dataset(&ds);
         let ctx = HistContext::new(&binner, &codes);
         let indices: Vec<usize> = (0..ds.n_rows()).rev().collect();
-        let features: Vec<usize> = (0..ds.n_features()).collect();
         let targets: Vec<f64> = (0..ds.n_rows()).map(|i| (i as f64).sin() * 3.0).collect();
-        assert!(features.len() >= FEATURE_PAR_MIN && indices.len() > HIST_BLOCK, "gates crossed");
-        // Row-parallel references built through the plain block-order path.
-        let (offsets, total) = ctx.candidate_layout(&features);
-        let class_ref = ctx.build_hist(&indices, total * 3, |i, h| {
-            let y = ds.labels()[i] as usize;
-            for (p, &f) in features.iter().enumerate() {
-                h[(offsets[p] + ctx.codes.code(i, f)) * 3 + y] += 1.0;
-            }
-        });
+        assert!(ctx.n_features() >= FEATURE_PAR_MIN && indices.len() > HIST_BLOCK, "gates crossed");
+        // Row-parallel reference built through the plain block-order path.
         let reg_ref = ctx.build_hist(&indices, ctx.total_bins * 2, |i, h| {
             let t = targets[i];
             for f in 0..ctx.n_features() {
@@ -812,57 +446,10 @@ mod tests {
             }
         });
         for t in [1usize, 2, 4] {
-            let (class_par, reg_par) = frote_par::test_support::with_threads(t, || {
-                (
-                    ctx.class_hist(ds.labels(), &indices, &features, 3),
-                    ctx.reg_hist(&targets, &indices),
-                )
-            });
-            assert_eq!(class_par, class_ref, "class hist drifted at FROTE_THREADS={t}");
+            let reg_par =
+                frote_par::test_support::with_threads(t, || ctx.reg_hist(&targets, &indices));
             let bitwise = reg_ref.iter().zip(&reg_par).all(|(a, b)| a.to_bits() == b.to_bits());
             assert!(bitwise, "feature-parallel gradient hist drifted at FROTE_THREADS={t}");
-        }
-    }
-
-    #[test]
-    fn class_hist_is_thread_count_invariant() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let ds = DatasetKind::Adult.generate(&SynthConfig { n_rows: 900, ..Default::default() });
-        let k = ds.n_classes();
-        let binner = Binner::fit(&ds, 32);
-        let codes = binner.bin_dataset(&ds);
-        let ctx = HistContext::new(&binner, &codes);
-        let features: Vec<usize> = (0..ds.n_features()).collect();
-        let mut rng = StdRng::seed_from_u64(5);
-        // Bootstrap-style (unsorted, repeated) and sorted node index lists.
-        let bootstrap: Vec<usize> = (0..500).map(|_| rng.random_range(0..ds.n_rows())).collect();
-        let sorted: Vec<usize> = (0..ds.n_rows()).step_by(2).collect();
-        for indices in [&bootstrap, &sorted] {
-            let baseline = ctx.class_hist(ds.labels(), indices, &features, k);
-            for threads in [1usize, 2, 4] {
-                let par = frote_par::test_support::with_threads(threads, || {
-                    ctx.class_hist(ds.labels(), indices, &features, k)
-                });
-                assert_eq!(par, baseline, "class hist drifted at threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn weighted_reg_hist_scales_counts_and_sums() {
-        let ds = two_feature_ds();
-        let binner = Binner::fit(&ds, 16);
-        let codes = binner.bin_dataset(&ds);
-        let ctx = HistContext::new(&binner, &codes);
-        let indices: Vec<usize> = (0..ds.n_rows()).collect();
-        let targets: Vec<f64> = (0..ds.n_rows()).map(|i| i as f64 * 0.5).collect();
-        let weights = vec![2.0; ds.n_rows()];
-        let unweighted = ctx.reg_hist(&targets, &indices);
-        let weighted = ctx.reg_hist_weighted(&targets, &weights, &indices);
-        // Weight 2 is a power of two: scaling is exact.
-        for (w, u) in weighted.iter().zip(&unweighted) {
-            assert_eq!(*w, u * 2.0);
         }
     }
 
@@ -872,36 +459,32 @@ mod tests {
         let binner = Binner::fit(&ds, 16);
         let codes = binner.bin_dataset(&ds);
         let ctx = HistContext::new(&binner, &codes);
-        let features: Vec<usize> = (0..ds.n_features()).collect();
+        // Integer targets: every sum and difference is exact.
+        let targets: Vec<f64> = (0..ds.n_rows()).map(|i| (i % 7) as f64 - 3.0).collect();
         let all: Vec<usize> = (0..ds.n_rows()).collect();
         let (left, right): (Vec<usize>, Vec<usize>) = all.iter().partition(|&&i| i < 10);
-        let mut parent = ctx.class_hist(ds.labels(), &all, &features, 2);
-        let left_h = ctx.class_hist(ds.labels(), &left, &features, 2);
-        let right_h = ctx.class_hist(ds.labels(), &right, &features, 2);
+        let mut parent = ctx.reg_hist(&targets, &all);
+        let left_h = ctx.reg_hist(&targets, &left);
+        let right_h = ctx.reg_hist(&targets, &right);
         HistContext::subtract_hist(&mut parent, &left_h);
-        assert_eq!(parent, right_h, "counts are exact integers: subtraction is lossless");
+        assert_eq!(parent, right_h, "exact counts and sums: subtraction is lossless");
     }
 
     #[test]
     fn best_split_finds_the_planted_boundary() {
+        // The target is +1 on category q and -1 elsewhere: only the
+        // one-vs-rest categorical split separates it.
         let ds = two_feature_ds();
         let binner = Binner::fit(&ds, 64);
         let codes = binner.bin_dataset(&ds);
         let ctx = HistContext::new(&binner, &codes);
         let indices: Vec<usize> = (0..ds.n_rows()).collect();
-        let features: Vec<usize> = (0..ds.n_features()).collect();
-        let hist = ctx.class_hist(ds.labels(), &indices, &features, 2);
-        let split = ctx
-            .find_best_split(&hist, &features, &[15.0, 15.0], 2, 1)
-            .expect("clean boundary exists");
-        let test = ctx.to_split_test(split);
-        match test {
-            SplitTest::NumLe { feature, threshold } => {
-                assert_eq!(feature, 0);
-                assert!((threshold - 14.5).abs() < 1e-12, "threshold {threshold}");
-            }
-            other => panic!("expected the numeric boundary, got {other:?}"),
-        }
+        let targets: Vec<f64> =
+            (0..ds.n_rows()).map(|i| if i % 3 == 1 { 1.0 } else { -1.0 }).collect();
+        let hist = ctx.reg_hist(&targets, &indices);
+        let split =
+            ctx.find_best_regression_split(&hist, 30.0, -10.0, 1).expect("clean boundary exists");
+        assert_eq!(ctx.to_split_test(split), SplitTest::CatEq { feature: 1, category: 1 });
     }
 
     #[test]
@@ -910,10 +493,10 @@ mod tests {
         let binner = Binner::fit(&ds, 16);
         let codes = binner.bin_dataset(&ds);
         let ctx = HistContext::new(&binner, &codes);
-        let indices: Vec<usize> = (0..10).collect(); // all label 0
-        let features: Vec<usize> = (0..ds.n_features()).collect();
-        let hist = ctx.class_hist(ds.labels(), &indices, &features, 2);
-        assert_eq!(ctx.find_best_split(&hist, &features, &[10.0, 0.0], 2, 1), None);
+        let indices: Vec<usize> = (0..ds.n_rows()).collect();
+        let targets = vec![0.5; ds.n_rows()];
+        let hist = ctx.reg_hist(&targets, &indices);
+        assert_eq!(ctx.find_best_regression_split(&hist, 30.0, 15.0, 1), None);
     }
 
     #[test]
@@ -930,126 +513,8 @@ mod tests {
         assert_eq!(split, BinSplit::NumLe { feature: 0, bin: 14 });
     }
 
-    /// The pre-compact class histogram, verbatim: every feature's slots
-    /// exist and the whole `total_bins × n_classes` buffer is zeroed and
-    /// block-reduced, though only `features`' slots are written. The
-    /// reference the compact candidate layout is checked against.
-    fn full_layout_hist(
-        ctx: &HistContext,
-        labels: &[u32],
-        indices: &[usize],
-        features: &[usize],
-        n_classes: usize,
-    ) -> Vec<f64> {
-        ctx.build_hist(indices, ctx.total_bins * n_classes, |i, h| {
-            let y = labels[i] as usize;
-            for &f in features {
-                h[ctx.slot(i, f) * n_classes + y] += 1.0;
-            }
-        })
-    }
-
-    /// The pre-compact split search, verbatim: scan `features` against the
-    /// full-layout histogram with `offsets[f]` bases. The compact search
-    /// must reproduce its decisions exactly.
-    fn full_layout_best_split(
-        ctx: &HistContext,
-        full: &[f64],
-        features: &[usize],
-        parent_counts: &[f64],
-        min_leaf: usize,
-    ) -> Option<BinSplit> {
-        let n_classes = parent_counts.len();
-        let n: f64 = parent_counts.iter().sum();
-        let parent_gini = gini(parent_counts, n);
-        let mut best: Option<(f64, BinSplit)> = None;
-        let mut left_counts = vec![0.0; n_classes];
-        for &f in features {
-            let bins = ctx.n_bins(f);
-            let base = ctx.offsets[f];
-            let feature_best = if ctx.binner.is_numeric(f) {
-                ctx.best_numeric(full, f, base, bins, parent_counts, &mut left_counts, min_leaf, n)
-            } else {
-                ctx.best_categorical(full, f, base, bins, parent_counts, min_leaf, n)
-            };
-            if let Some((child_gini, split)) = feature_best {
-                let gain = parent_gini - child_gini;
-                if gain > 1e-12 && best.as_ref().is_none_or(|(bg, _)| child_gini < *bg) {
-                    best = Some((child_gini, split));
-                }
-            }
-        }
-        best.map(|(_, s)| s)
-    }
-
-    #[test]
-    fn compact_candidate_hist_matches_full_layout() {
-        use rand::rngs::StdRng;
-        use rand::seq::SliceRandom;
-        use rand::{Rng, SeedableRng};
-        for kind in [DatasetKind::WineQuality, DatasetKind::Adult] {
-            let ds = kind.generate(&SynthConfig { n_rows: 800, ..Default::default() });
-            let k = ds.n_classes();
-            let binner = Binner::fit(&ds, 32);
-            let codes = binner.bin_dataset(&ds);
-            let ctx = HistContext::new(&binner, &codes);
-            let mut rng = StdRng::seed_from_u64(17);
-            for node in 0..25 {
-                // A forest-like node: a bootstrap row sample and a shuffled
-                // √F candidate feature subset.
-                let indices: Vec<usize> =
-                    (0..400).map(|_| rng.random_range(0..ds.n_rows())).collect();
-                let mut features: Vec<usize> = (0..ds.n_features()).collect();
-                features.shuffle(&mut rng);
-                features.truncate((ds.n_features() as f64).sqrt().round().max(1.0) as usize);
-                let compact = ctx.class_hist(ds.labels(), &indices, &features, k);
-                let full = full_layout_hist(&ctx, ds.labels(), &indices, &features, k);
-                // The sampled features' blocks of the full buffer, in
-                // candidate order.
-                let full: Vec<f64> = features
-                    .iter()
-                    .flat_map(|&f| &full[ctx.offsets[f] * k..(ctx.offsets[f] + ctx.n_bins(f)) * k])
-                    .copied()
-                    .collect();
-                assert_eq!(compact, full, "{}: node {node} layouts disagree", kind.name());
-            }
-        }
-    }
-
-    #[test]
-    fn compact_split_search_matches_full_layout_on_seeded_forest_nodes() {
-        use rand::rngs::StdRng;
-        use rand::seq::SliceRandom;
-        use rand::{Rng, SeedableRng};
-        for kind in [DatasetKind::WineQuality, DatasetKind::Car, DatasetKind::Adult] {
-            let ds = kind.generate(&SynthConfig { n_rows: 600, ..Default::default() });
-            let k = ds.n_classes();
-            let binner = Binner::fit(&ds, 32);
-            let codes = binner.bin_dataset(&ds);
-            let ctx = HistContext::new(&binner, &codes);
-            let mut rng = StdRng::seed_from_u64(29);
-            for node in 0..40 {
-                let indices: Vec<usize> =
-                    (0..300).map(|_| rng.random_range(0..ds.n_rows())).collect();
-                let mut features: Vec<usize> = (0..ds.n_features()).collect();
-                features.shuffle(&mut rng);
-                features.truncate(rng.random_range(1..=ds.n_features()));
-                let mut parent_counts = vec![0.0; k];
-                for &i in &indices {
-                    parent_counts[ds.label(i) as usize] += 1.0;
-                }
-                let compact_hist = ctx.class_hist(ds.labels(), &indices, &features, k);
-                let compact = ctx.find_best_split(&compact_hist, &features, &parent_counts, k, 2);
-                // Full-layout reference: pre-compact build + pre-compact scan.
-                let full_hist = full_layout_hist(&ctx, ds.labels(), &indices, &features, k);
-                let full = full_layout_best_split(&ctx, &full_hist, &features, &parent_counts, 2);
-                assert_eq!(compact, full, "{}: node {node} split drifted", kind.name());
-            }
-        }
-    }
-
     // The set/get round trip of the process-wide default lives in
     // `frote-bench`'s CliOptions tests: flipping the global here would race
     // the trainer tests of this binary, which read it via
-    // `TreeParams::default`.
+    // `GbdtParams::default`.
 }

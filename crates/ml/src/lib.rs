@@ -15,8 +15,9 @@
 //! - [`tree`] / [`forest`] — CART decision trees and random forests (paper
 //!   setting: `max_depth = 3`),
 //! - [`gbdt`] — gradient-boosted trees, the LightGBM stand-in,
-//! - [`histogram`] — the quantized histogram split search shared by the
-//!   tree families (opt-in per trainer via [`SplitMode`]),
+//! - [`histogram`] — the quantized histogram split search of the boosted
+//!   trees (opt-in via [`SplitMode`] on [`gbdt::GbdtParams`]; LR and RF
+//!   train with the exact search only),
 //! - [`kernels`] — the blocked, autovectorizer-friendly `f64` kernels every
 //!   numeric inner loop (distances, softmax, gradients) runs on,
 //! - [`knn`] / [`distance`] — exact brute-force mixed-type nearest
@@ -50,5 +51,5 @@ mod traits;
 pub mod tree;
 
 pub use error::MlError;
-pub use histogram::{default_split_mode, set_default_split_mode, GossParams, SplitMode};
+pub use histogram::{default_split_mode, set_default_split_mode, SplitMode};
 pub use traits::{Classifier, TrainAlgorithm, TrainCache};

@@ -76,7 +76,7 @@ pub trait Classifier: Send + Sync {
 
 /// Reusable training state shared across repeated [`TrainAlgorithm`] calls
 /// on an append-only dataset — FROTE's retrain loop hands each run one of
-/// these so histogram-mode tree trainers bin the base rows once and only
+/// these so histogram-mode GBDT trainers bin the base rows once and only
 /// bin what each iteration appends, and the logistic-regression trainer
 /// likewise encodes base rows once and scores straight off the cached
 /// [`frote_data::EncodedCache`] matrix. Exact-mode tree trainers ignore it.
@@ -145,9 +145,7 @@ pub trait TrainAlgorithm: Send + Sync {
 
     /// Trains on `ds`, reusing `cache` across calls on the same append-only
     /// dataset. The default ignores the cache and defers to
-    /// [`TrainAlgorithm::train`]; histogram-mode tree trainers override it
-    /// (and implement `train` by calling this with a throwaway cache — an
-    /// override must therefore never call the default `train_cached`).
+    /// [`TrainAlgorithm::train`]; the GBDT and LR trainers override it.
     /// Results are bit-identical to `train` either way.
     fn train_cached(&self, ds: &Dataset, cache: &mut TrainCache) -> Box<dyn Classifier> {
         let _ = cache;

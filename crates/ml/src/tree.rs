@@ -6,21 +6,17 @@
 //! [`crate::forest`] (with per-node feature subsampling) and
 //! [`crate::gbdt`] (a regression variant lives there).
 //!
-//! Two split searches share this node structure: the exact search
-//! ([`DecisionTree::fit`], the default), which ranks each numeric column
-//! once per fit and orders every node's rows by a stable counting sort on
-//! those ranks (the `rank` module), and the quantized histogram search
-//! ([`DecisionTree::fit_hist`], opt-in via [`SplitMode::Histogram`] on
-//! [`TreeParams`]) — see [`crate::histogram`].
+//! The split search is exact: [`DecisionTree::fit`] ranks each numeric
+//! column once per fit and orders every node's rows by a stable counting
+//! sort on those ranks (the `rank` module).
 
-use frote_data::{BinnedMatrix, Binner, Column, Dataset, FeatureMatrix, Value};
+use frote_data::{Column, Dataset, FeatureMatrix, Value};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::histogram::{gini, HistContext, SplitMode};
 use crate::rank::RankTable;
-use crate::traits::{argmax, Classifier, TrainAlgorithm, TrainCache};
+use crate::traits::{argmax, Classifier, TrainAlgorithm};
 
 /// Maximum number of candidate thresholds evaluated per numeric feature per
 /// node; larger value sets are thinned to quantiles (the histogram trick
@@ -39,21 +35,11 @@ pub struct TreeParams {
     pub min_samples_leaf: usize,
     /// Number of features sampled per node (`None` = all features).
     pub max_features: Option<usize>,
-    /// How splits are searched: exact (default; per-fit value ranks and a
-    /// counting sort per node) or the quantized histogram engine.
-    pub split_mode: SplitMode,
 }
 
 impl Default for TreeParams {
     fn default() -> Self {
-        TreeParams {
-            max_depth: 8,
-            min_samples_split: 2,
-            min_samples_leaf: 1,
-            max_features: None,
-            // Exact unless the process-wide `--split-mode` override is set.
-            split_mode: crate::histogram::default_split_mode(),
-        }
+        TreeParams { max_depth: 8, min_samples_split: 2, min_samples_leaf: 1, max_features: None }
     }
 }
 
@@ -122,9 +108,7 @@ pub struct DecisionTree {
 
 impl DecisionTree {
     /// Fits a tree on the rows of `ds` indexed by `indices` (duplicates
-    /// allowed — bootstrap samples pass repeats), always with the exact
-    /// split search; trainers dispatch to [`DecisionTree::fit_hist`] when
-    /// `params.split_mode` asks for histograms.
+    /// allowed — bootstrap samples pass repeats).
     ///
     /// # Panics
     ///
@@ -150,39 +134,6 @@ impl DecisionTree {
         };
         let mut idx = indices.to_vec();
         tree.grow(ds, ranks, &mut idx, 0, params, rng);
-        tree
-    }
-
-    /// Fits a tree with the quantized histogram split search: node
-    /// histograms are built in one parallel pass over `codes` (fixed-order
-    /// block reduction; bit-identical at any `FROTE_THREADS`), larger
-    /// siblings derive theirs by subtraction, and chosen boundaries are
-    /// stored as raw-value thresholds so prediction never touches the bins.
-    /// When every node sees all features (`max_features = None`) and the
-    /// bin budget covers every distinct value, the decisions match
-    /// [`DecisionTree::fit`] node for node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `indices` is empty or `codes` does not cover `ds`'s rows.
-    pub fn fit_hist(
-        ds: &Dataset,
-        binner: &Binner,
-        codes: &BinnedMatrix,
-        indices: &[usize],
-        params: &TreeParams,
-        rng: &mut StdRng,
-    ) -> Self {
-        assert!(!indices.is_empty(), "cannot fit a tree on zero rows");
-        assert!(codes.n_rows() >= ds.n_rows(), "bin codes must cover the dataset");
-        let mut tree = DecisionTree {
-            nodes: Vec::new(),
-            n_classes: ds.n_classes(),
-            n_features: ds.n_features(),
-        };
-        let ctx = HistContext::new(binner, codes);
-        let mut idx = indices.to_vec();
-        tree.grow_hist(&ctx, ds, &mut idx, 0, params, rng, None);
         tree
     }
 
@@ -236,92 +187,6 @@ impl DecisionTree {
                 let (left_idx, right_idx) = indices.split_at_mut(mid);
                 let left = self.grow(ds, ranks, left_idx, depth + 1, params, rng);
                 let right = self.grow(ds, ranks, right_idx, depth + 1, params, rng);
-                self.nodes.push(Node::Split { test, left, right });
-                self.nodes.len() - 1
-            }
-        }
-    }
-
-    /// Histogram-mode twin of [`DecisionTree::grow`]. `hist` is the node's
-    /// class histogram when subtraction mode is on (`max_features = None`);
-    /// with subsampling each node builds its own candidate-feature
-    /// histograms instead.
-    #[allow(clippy::too_many_arguments)] // mirrors `grow` plus the carried histogram
-    fn grow_hist(
-        &mut self,
-        ctx: &HistContext,
-        ds: &Dataset,
-        indices: &mut [usize],
-        depth: usize,
-        params: &TreeParams,
-        rng: &mut StdRng,
-        hist: Option<Vec<f64>>,
-    ) -> usize {
-        let dist = class_distribution(ds, indices, self.n_classes);
-        let pure = dist.iter().filter(|&&p| p > 0.0).count() <= 1;
-        if depth >= params.max_depth || indices.len() < params.min_samples_split || pure {
-            self.nodes.push(Node::Leaf { dist });
-            return self.nodes.len() - 1;
-        }
-        let features = self.candidate_features(params, rng);
-        let mut parent_counts = vec![0.0; self.n_classes];
-        for &i in indices.iter() {
-            parent_counts[ds.label(i) as usize] += 1.0;
-        }
-        let node_hist = match hist {
-            Some(h) => h,
-            None => ctx.class_hist(ds.labels(), indices, &features, self.n_classes),
-        };
-        let best = ctx.find_best_split(
-            &node_hist,
-            &features,
-            &parent_counts,
-            self.n_classes,
-            params.min_samples_leaf,
-        );
-        match best {
-            None => {
-                self.nodes.push(Node::Leaf { dist });
-                self.nodes.len() - 1
-            }
-            Some(split) => {
-                let mut mid = 0;
-                for i in 0..indices.len() {
-                    if ctx.goes_left(indices[i], split) {
-                        indices.swap(i, mid);
-                        mid += 1;
-                    }
-                }
-                if mid == 0 || mid == indices.len() {
-                    self.nodes.push(Node::Leaf { dist });
-                    return self.nodes.len() - 1;
-                }
-                let test = ctx.to_split_test(split);
-                let (left_idx, right_idx) = indices.split_at_mut(mid);
-                // Build the smaller child's histogram directly; the larger
-                // sibling's follows by subtraction from the parent's. Only
-                // worthwhile without per-node subsampling (children must
-                // histogram the parent's feature set) and when the children
-                // can still split (`depth + 1` below the cap) — otherwise
-                // they leaf out without ever reading a histogram.
-                let subtract = params.max_features.is_none() && depth + 1 < params.max_depth;
-                let (left_hist, right_hist) = if subtract {
-                    let all: Vec<usize> = (0..self.n_features).collect();
-                    let mut sibling = node_hist;
-                    if left_idx.len() <= right_idx.len() {
-                        let lh = ctx.class_hist(ds.labels(), left_idx, &all, self.n_classes);
-                        HistContext::subtract_hist(&mut sibling, &lh);
-                        (Some(lh), Some(sibling))
-                    } else {
-                        let rh = ctx.class_hist(ds.labels(), right_idx, &all, self.n_classes);
-                        HistContext::subtract_hist(&mut sibling, &rh);
-                        (Some(sibling), Some(rh))
-                    }
-                } else {
-                    (None, None)
-                };
-                let left = self.grow_hist(ctx, ds, left_idx, depth + 1, params, rng, left_hist);
-                let right = self.grow_hist(ctx, ds, right_idx, depth + 1, params, rng, right_hist);
                 self.nodes.push(Node::Split { test, left, right });
                 self.nodes.len() - 1
             }
@@ -426,29 +291,10 @@ impl Default for DecisionTreeTrainer {
 
 impl TrainAlgorithm for DecisionTreeTrainer {
     fn train(&self, ds: &Dataset) -> Box<dyn Classifier> {
-        self.train_cached(ds, &mut TrainCache::new())
-    }
-
-    fn train_cached(&self, ds: &Dataset, cache: &mut TrainCache) -> Box<dyn Classifier> {
         assert!(!ds.is_empty(), "cannot train on an empty dataset");
         let indices: Vec<usize> = (0..ds.n_rows()).collect();
         let mut rng = StdRng::seed_from_u64(self.seed);
-        // GOSS is a boosting-plane knob; classification trees have no
-        // gradients, so here it trains exactly like plain histogram mode.
-        match self.params.split_mode.max_bins() {
-            None => Box::new(DecisionTree::fit(ds, &indices, &self.params, &mut rng)),
-            Some(max_bins) => {
-                let binned = cache.binned(ds, max_bins);
-                Box::new(DecisionTree::fit_hist(
-                    ds,
-                    binned.binner(),
-                    binned.codes(),
-                    &indices,
-                    &self.params,
-                    &mut rng,
-                ))
-            }
-        }
+        Box::new(DecisionTree::fit(ds, &indices, &self.params, &mut rng))
     }
 
     fn name(&self) -> &str {
@@ -506,6 +352,14 @@ pub(crate) fn numeric(ds: &Dataset, f: usize) -> &[f64] {
 /// The cells of categorical feature `f`.
 pub(crate) fn categorical(ds: &Dataset, f: usize) -> &[u32] {
     ds.column(f).as_categorical().expect("categorical feature")
+}
+
+/// Gini impurity of a count vector with the given total (0 for empty sets).
+fn gini(counts: &[f64], total: f64) -> f64 {
+    if total <= 0.0 {
+        return 0.0;
+    }
+    1.0 - counts.iter().map(|&c| (c / total) * (c / total)).sum::<f64>()
 }
 
 /// Finds the Gini-optimal split over `features`, or `None` if no split
@@ -641,6 +495,7 @@ fn best_categorical_split(
 mod tests {
     use super::*;
     use crate::rank::test_support::{arb_node, NUMERIC_FEATURES};
+    use crate::traits::TrainCache;
     use frote_data::synth::{DatasetKind, SynthConfig};
     use frote_data::{Schema, Value};
 
@@ -735,62 +590,9 @@ mod tests {
     }
 
     #[test]
-    fn histogram_mode_reproduces_exact_when_bins_cover_values() {
-        // Few enough distinct values that the exact search skips its
-        // threshold thinning and the 256-bin budget gives one bin per
-        // distinct value: both searches then evaluate the same candidate
-        // set and must make identical decisions. Thresholds agree exactly
-        // too because this dataset keeps every node's value set contiguous
-        // (the general decision-level property, where in-gap threshold
-        // placement may differ, is pinned by tests/prop_hist_split.rs).
-        let schema =
-            Schema::builder("y", vec!["a".into(), "b".into()]).numeric("x1").numeric("x2").build();
-        let mut ds = Dataset::new(schema);
-        for i in 0..200 {
-            let x = (i % 20) as f64;
-            let label = u32::from((6.0..14.0).contains(&x));
-            ds.push_row(&[Value::Num(x), Value::Num(((i * 7) % 13) as f64)], label).unwrap();
-        }
-        let params = TreeParams { max_depth: 4, ..Default::default() };
-        let idx: Vec<usize> = (0..ds.n_rows()).collect();
-        let exact = DecisionTree::fit(&ds, &idx, &params, &mut StdRng::seed_from_u64(0));
-        let binned = frote_data::BinnedCache::fit(&ds, 256);
-        let hist = DecisionTree::fit_hist(
-            &ds,
-            binned.binner(),
-            binned.codes(),
-            &idx,
-            &params,
-            &mut StdRng::seed_from_u64(0),
-        );
-        assert_eq!(format!("{exact:?}"), format!("{hist:?}"));
-    }
-
-    #[test]
-    fn histogram_mode_learns_band_with_coarse_bins() {
-        let ds = xor_ds();
-        let params =
-            TreeParams { max_depth: 2, split_mode: SplitMode::histogram(), ..Default::default() };
-        let model = DecisionTreeTrainer::new(params, 0).train(&ds);
-        let acc = crate::metrics::accuracy(&model.predict_dataset(&ds), ds.labels());
-        assert!(acc > 0.9, "accuracy {acc}");
-    }
-
-    #[test]
-    fn histogram_mode_handles_categorical_splits() {
-        let ds = DatasetKind::Car.generate(&SynthConfig { n_rows: 800, ..Default::default() });
-        let params =
-            TreeParams { max_depth: 6, split_mode: SplitMode::histogram(), ..Default::default() };
-        let model = DecisionTreeTrainer::new(params, 1).train(&ds);
-        let acc = crate::metrics::accuracy(&model.predict_dataset(&ds), ds.labels());
-        assert!(acc > 0.75, "accuracy {acc}");
-    }
-
-    #[test]
     fn cached_training_matches_uncached_across_appends() {
         let mut ds = xor_ds();
-        let params = TreeParams { split_mode: SplitMode::histogram(), ..Default::default() };
-        let trainer = DecisionTreeTrainer::new(params, 0);
+        let trainer = DecisionTreeTrainer::new(TreeParams::default(), 0);
         let mut cache = TrainCache::new();
         for round in 0..3 {
             let cached = trainer.train_cached(&ds, &mut cache);

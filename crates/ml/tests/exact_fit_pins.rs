@@ -64,14 +64,8 @@ fn gbdt_digest(ds: &Dataset) -> u64 {
 }
 
 fn forest_digest(ds: &Dataset) -> u64 {
-    let params = ForestParams {
-        n_trees: 12,
-        tree: TreeParams {
-            max_depth: 4,
-            split_mode: frote_ml::SplitMode::Exact,
-            ..Default::default()
-        },
-    };
+    let params =
+        ForestParams { n_trees: 12, tree: TreeParams { max_depth: 4, ..Default::default() } };
     fnv1a(format!("{:?}", RandomForest::fit(ds, &params, 17)).as_bytes())
 }
 

@@ -2,20 +2,17 @@
 //!
 //! This crate provides a process-global metrics registry — atomic
 //! [`Counter`]s, [`Gauge`]s, fixed-bucket latency [`Histogram`]s with
-//! lock-free `u64` bins, and RAII [`SpanTimer`]s — plus a lightweight
-//! structured event [`trace`] (a bounded ring buffer of typed events).
-//! [`snapshot_json`] prints the registry with the crate's own small
+//! lock-free `u64` bins, and RAII [`SpanTimer`]s. [`snapshot_json`] prints the registry with the crate's own small
 //! [`json`] writer, which `frote_eval::export` shares.
 //!
 //! # Gating
 //!
 //! Everything is off by default and compiled down to a single relaxed
-//! atomic load per call site when disabled. Two independent switches:
-//!
-//! - metrics: `FROTE_METRICS=1` in the environment, or
-//!   [`set_metrics_enabled`] as a process-default override (the same
-//!   pattern as `frote_par::set_threads` / `frote_ml::set_default_split_mode`);
-//! - trace: `FROTE_TRACE=1`, or [`trace::set_trace_enabled`].
+//! atomic load per call site when disabled. The switch is
+//! `FROTE_METRICS=1` in the environment, or [`set_metrics_enabled`] as a
+//! process-default override (the same pattern as `frote_par::set_threads`
+//! / `frote_ml::set_default_split_mode`). A FROTE run's per-iteration
+//! decisions are not traced here: `FroteReport::iterations` records them.
 //!
 //! # Determinism contract
 //!
@@ -37,7 +34,6 @@
 //! ```
 
 pub mod json;
-pub mod trace;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -53,16 +49,14 @@ const FORCE_ON: u8 = 2;
 
 static METRICS_FORCE: AtomicU8 = AtomicU8::new(FORCE_UNSET);
 
-pub(crate) fn env_flag(name: &str) -> bool {
-    std::env::var(name).is_ok_and(|v| {
-        let v = v.trim();
-        !v.is_empty() && v != "0"
-    })
-}
-
 fn metrics_env() -> bool {
     static CACHE: OnceLock<bool> = OnceLock::new();
-    *CACHE.get_or_init(|| env_flag("FROTE_METRICS"))
+    *CACHE.get_or_init(|| {
+        std::env::var("FROTE_METRICS").is_ok_and(|v| {
+            let v = v.trim();
+            !v.is_empty() && v != "0"
+        })
+    })
 }
 
 /// Whether metric recording is currently on.
@@ -558,8 +552,8 @@ pub fn summary_table() -> String {
     out
 }
 
-/// Zero every registered metric (registration is kept) and clear the
-/// event trace. Used between runs by tests and the benchmark harness.
+/// Zero every registered metric (registration is kept). Used between runs
+/// by tests and the benchmark harness.
 pub fn reset() {
     for c in lock(&registry().counters).iter() {
         c.value.store(0, Ordering::Relaxed);
@@ -574,7 +568,6 @@ pub fn reset() {
         h.count.store(0, Ordering::Relaxed);
         h.sum_ns.store(0, Ordering::Relaxed);
     }
-    trace::clear();
 }
 
 #[cfg(test)]

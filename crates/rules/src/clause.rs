@@ -67,7 +67,7 @@ impl Clause {
     /// slices, bit-identical to [`Clause::coverage_interpreted`] at any
     /// thread count. Clauses that fail schema validation fall back to the
     /// interpreter, preserving its documented panic behavior; use
-    /// [`Clause::try_coverage`] for a `Result` instead.
+    /// [`CompiledClause::compile`] for a `Result` instead.
     pub fn coverage(&self, ds: &Dataset) -> Vec<usize> {
         match CompiledClause::compile(self, ds.schema()) {
             Ok(compiled) => compiled.coverage(ds),
@@ -83,26 +83,6 @@ impl Clause {
             Ok(compiled) => compiled.coverage_count(ds),
             Err(_) => self.coverage_count_interpreted(ds),
         }
-    }
-
-    /// Pre-validated coverage: compiles the clause against the dataset's
-    /// schema once, then scans — never panics mid-scan on malformed
-    /// (parsed/expert-submitted) clauses.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`RuleError`] of [`Clause::validate`].
-    pub fn try_coverage(&self, ds: &Dataset) -> Result<Vec<usize>, RuleError> {
-        Ok(CompiledClause::compile(self, ds.schema())?.coverage(ds))
-    }
-
-    /// Pre-validated twin of [`Clause::coverage_count`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`RuleError`] of [`Clause::validate`].
-    pub fn try_coverage_count(&self, ds: &Dataset) -> Result<usize, RuleError> {
-        Ok(CompiledClause::compile(self, ds.schema())?.coverage_count(ds))
     }
 
     /// The row-at-a-time reference implementation of [`Clause::coverage`]:
@@ -455,27 +435,25 @@ mod tests {
     }
 
     #[test]
-    fn try_coverage_returns_error_for_mismatched_parsed_rule() {
+    fn compile_returns_error_for_mismatched_parsed_rule() {
         // Regression: a rule parsed against one schema but evaluated
         // against a dataset with a different layout used to panic inside
-        // `Predicate::eval` mid-scan. The pre-validated scans surface a
-        // `RuleError` instead.
+        // `Predicate::eval` mid-scan. Compiling against the dataset's
+        // schema surfaces a `RuleError` instead.
         let other = Schema::builder("y", vec!["a".into(), "b".into()])
             .categorical("age", vec!["young".into(), "old".into()])
             .numeric("job")
             .build();
         let clause = crate::parse::parse_clause("age < 30", &schema()).unwrap();
-        let mut ds = Dataset::new(other);
-        ds.push_row(&[Value::Cat(0), Value::Num(1.0)], 0).unwrap();
         assert!(matches!(
-            clause.try_coverage(&ds),
+            CompiledClause::compile(&clause, &other),
             Err(RuleError::ValueKindMismatch { .. } | RuleError::OperatorNotAllowed { .. })
         ));
-        assert!(clause.try_coverage_count(&ds).is_err());
-        // The valid-schema path goes through the compiled engine.
+        // Against the valid schema the compiled scans match the interpreter.
         let good = demo_dataset();
-        assert_eq!(clause.try_coverage(&good).unwrap(), clause.coverage_interpreted(&good));
-        assert_eq!(clause.try_coverage_count(&good).unwrap(), 2);
+        let compiled = CompiledClause::compile(&clause, good.schema()).unwrap();
+        assert_eq!(compiled.coverage(&good), clause.coverage_interpreted(&good));
+        assert_eq!(compiled.coverage_count(&good), 2);
     }
 
     #[test]

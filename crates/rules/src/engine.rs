@@ -10,23 +10,13 @@
 //! counting coverage via popcount, and parallelizing over fixed row blocks
 //! in block order so results are bit-identical at any `FROTE_THREADS`.
 //!
-//! Two evaluation planes share the same plans:
-//!
-//! - **Raw plane** ([`CompiledClause::eval`]): numeric thresholds compare
-//!   against the raw `f64` column, categorical `Eq`/`Ne` against the `u32`
-//!   code column. Cell-for-cell identical to the interpreter — including
-//!   IEEE `NaN` semantics, where every numeric comparison is `false` — so
-//!   the interpreter remains the documented reference implementation and
-//!   the differential proptests (`tests/prop_rule_engine.rs`) hold the two
-//!   equal on every row.
-//! - **Binned plane** ([`CompiledClause::eval_binned`]): numeric thresholds
-//!   become bin-code comparisons on `u8`/`u16` codes via the [`Binner`]
-//!   edge contract (`bin(v) <= b ⟺ v <= edges[b]`). A threshold that is
-//!   not exactly a bin edge makes the threshold's own bin ambiguous; those
-//!   rows — and only those — fall back to an exact raw-value comparison.
-//!   `NaN` thresholds compile to constant-false (matching IEEE), and `NaN`
-//!   cells cannot reach this plane at all: [`Binner::fit`] rejects them and
-//!   [`Binner::bin_value`] refuses to map `NaN` into bin 0.
+//! Evaluation ([`CompiledClause::eval`]) compares numeric thresholds
+//! against the raw `f64` column and categorical `Eq`/`Ne` against the `u32`
+//! code column. It is cell-for-cell identical to the interpreter —
+//! including IEEE `NaN` semantics, where every numeric comparison is
+//! `false` — so the interpreter remains the documented reference
+//! implementation and the differential proptests
+//! (`tests/prop_rule_engine.rs`) hold the two equal on every row.
 //!
 //! Compilation *pre-validates* against the schema and returns
 //! [`RuleError`] — the `Result`-typed front door that replaces the
@@ -43,7 +33,7 @@ use std::ops::Range;
 use std::sync::OnceLock;
 
 use frote_data::sync::CacheCounters;
-use frote_data::{BinnedMatrix, Binner, Dataset, FeatureKind, Schema, SyncOutcome, Value};
+use frote_data::{Dataset, FeatureKind, Schema, SyncOutcome, Value};
 use frote_obs::Counter;
 
 use crate::clause::Clause;
@@ -55,13 +45,10 @@ use crate::ruleset::FeedbackRuleSet;
 /// interpreter's scan): the pool only pays off on biggish inputs.
 const PAR_SCAN_MIN: usize = 4096;
 
-// Engine metrics (see frote-obs). All thread-invariant: which plane a scan
-// uses and which rows hit the ambiguous-bin fallback depend on inputs and
-// fitted edges, never on scheduling.
+// Engine metrics (see frote-obs). Both thread-invariant: compiles and
+// scans depend on inputs, never on scheduling.
 static CLAUSES_COMPILED: Counter = Counter::new("rule_engine.clauses_compiled");
 static EVAL_RAW: Counter = Counter::new("rule_engine.eval_raw");
-static EVAL_BINNED: Counter = Counter::new("rule_engine.eval_binned");
-static BINNED_FALLBACK_ROWS: Counter = Counter::new("rule_engine.binned_fallback_rows");
 
 fn mask_cache_counters() -> &'static CacheCounters {
     static COUNTERS: OnceLock<CacheCounters> = OnceLock::new();
@@ -403,130 +390,6 @@ impl CompiledClause {
     fn holds_row(&self, ds: &Dataset, i: usize) -> bool {
         self.preds.iter().all(|p| p.holds_row(ds, i))
     }
-
-    /// Evaluates the clause over bin codes: numeric thresholds become
-    /// code comparisons via the [`Binner`] edge contract
-    /// (`bin(v) <= b ⟺ v <= edges[b]`), with an exact raw-value fallback
-    /// for the single ambiguous bin when the threshold is not itself a bin
-    /// edge; categorical predicates compare codes directly (bin code ==
-    /// category index). Produces exactly [`CompiledClause::eval`]'s mask.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `binner`/`codes` were not fitted on `ds` (row or feature
-    /// count mismatch).
-    pub fn eval_binned(&self, binner: &Binner, codes: &BinnedMatrix, ds: &Dataset) -> RowMask {
-        assert_eq!(codes.n_rows(), ds.n_rows(), "codes must cover every dataset row");
-        assert_eq!(codes.width(), ds.n_features(), "codes width must match the feature count");
-        let plans: Vec<BinnedPred<'_>> = self
-            .preds
-            .iter()
-            .map(|p| match *p {
-                PredPlan::Num { col, op, t } => {
-                    let edges = binner.numeric_edges(col).expect("numeric feature has edges");
-                    // c = number of edges < t = bin code of t itself. When t
-                    // sits exactly on edges[c] the contract makes `code <= c`
-                    // equivalent to `v <= t` with no ambiguity.
-                    let c = edges.partition_point(|&e| e < t);
-                    let edge = c < edges.len() && edges[c] == t;
-                    let raw = ds.column(col).as_numeric().expect("numeric column");
-                    BinnedPred::Num { col, op, t, c, edge, raw }
-                }
-                PredPlan::CatEq { col, code } => {
-                    BinnedPred::Cat { col, code: code as usize, ne: false }
-                }
-                PredPlan::CatNe { col, code } => {
-                    BinnedPred::Cat { col, code: code as usize, ne: true }
-                }
-            })
-            .collect();
-        EVAL_BINNED.inc();
-        let n = ds.n_rows();
-        let fill = |rows: Range<usize>| {
-            let len = rows.len();
-            let mut words = vec![0u64; len.div_ceil(64)];
-            // Fallbacks accumulate in a block-local and flush with one
-            // atomic add, keeping the per-row loop free of shared writes.
-            let mut fallbacks = 0u64;
-            for (k, i) in rows.enumerate() {
-                let hit = plans.iter().all(|p| p.holds(codes, i, &mut fallbacks));
-                words[k / 64] |= u64::from(hit) << (k % 64);
-            }
-            BINNED_FALLBACK_ROWS.add(fallbacks);
-            words
-        };
-        if n < PAR_SCAN_MIN || frote_par::serial() {
-            return RowMask::from_words(fill(0..n), n);
-        }
-        RowMask::from_words(frote_par::par_blocks_map(n, MASK_BLOCK, |_, rows| fill(rows)), n)
-    }
-}
-
-/// A predicate lowered onto the binned plane.
-enum BinnedPred<'a> {
-    /// Numeric threshold as a bin-code comparison with raw fallback.
-    Num { col: usize, op: Op, t: f64, c: usize, edge: bool, raw: &'a [f64] },
-    /// Categorical code comparison (bin code == category index).
-    Cat { col: usize, code: usize, ne: bool },
-}
-
-impl BinnedPred<'_> {
-    #[inline]
-    fn holds(&self, codes: &BinnedMatrix, i: usize, fallbacks: &mut u64) -> bool {
-        match *self {
-            BinnedPred::Num { col, op, t, c, edge, raw } => {
-                match binned_decide(op, t, c, edge, codes.code(i, col)) {
-                    Some(hit) => hit,
-                    None => {
-                        *fallbacks += 1;
-                        num_holds(op, raw[i], t)
-                    }
-                }
-            }
-            BinnedPred::Cat { col, code, ne } => (codes.code(i, col) == code) != ne,
-        }
-    }
-}
-
-/// Decides `v op t` from `code = bin(v)` alone where the edge contract
-/// allows; `None` marks the single ambiguous bin that needs the raw value.
-///
-/// With `c` = number of edges `< t` (the bin code of `t` itself) and
-/// `edge` = "`t` is exactly `edges[c]`":
-///
-/// - `code < c` ⇒ `v <= edges[c-1] < t`, so `v < t` is certain;
-/// - `code > c` ⇒ `v > edges[c] >= t`, so `v > t` is certain;
-/// - `code == c` straddles `t` unless `t` is an edge, where `Le`/`Gt`
-///   become exact (`v <= t ⟺ code <= c`).
-///
-/// `Gt`/`Ge` are the IEEE negations of `Le`/`Lt` — valid only for
-/// non-`NaN` thresholds, so a `NaN` threshold short-circuits to `false`
-/// (every comparison against `NaN` is `false` in the interpreter too).
-fn binned_decide(op: Op, t: f64, c: usize, edge: bool, code: usize) -> Option<bool> {
-    if t.is_nan() {
-        return Some(false);
-    }
-    let lt_like = |code: usize| match code.cmp(&c) {
-        std::cmp::Ordering::Less => Some(true),
-        std::cmp::Ordering::Greater => Some(false),
-        std::cmp::Ordering::Equal => None,
-    };
-    match op {
-        Op::Le if edge => Some(code <= c),
-        Op::Gt if edge => Some(code > c),
-        Op::Le => lt_like(code),
-        Op::Lt => lt_like(code),
-        Op::Gt => lt_like(code).map(|b| !b),
-        Op::Ge => lt_like(code).map(|b| !b),
-        Op::Eq => {
-            if code == c {
-                None
-            } else {
-                Some(false)
-            }
-        }
-        Op::Ne => unreachable!("Ne is not allowed on numeric features"),
-    }
 }
 
 /// A whole rule set lowered onto the columnar engine: one compiled clause
@@ -748,7 +611,6 @@ mod tests {
     use super::*;
     use crate::predicate::Predicate;
     use crate::rule::FeedbackRule;
-    use frote_data::BinnedCache;
 
     fn schema() -> Schema {
         Schema::builder("y", vec!["a".into(), "b".into()])
@@ -857,47 +719,6 @@ mod tests {
             CompiledClause::compile(&out_of_vocab, &s),
             Err(RuleError::ValueKindMismatch { .. })
         ));
-    }
-
-    /// A finite dataset (bin fitting rejects NaN) with duplicated values so
-    /// edges sit between repeated runs.
-    fn finite_ds() -> Dataset {
-        let mut d = Dataset::new(schema());
-        for i in 0..40 {
-            d.push_row(&[Value::Num(f64::from(i % 8)), Value::Cat(i % 3)], 0).unwrap();
-        }
-        d
-    }
-
-    #[test]
-    fn binned_eval_matches_raw_at_edges_and_ulps() {
-        // Satellite pin: Le/Lt/Gt/Ge/Eq agree between raw-value and
-        // bin-code evaluation at bin edges, ±1 ULP around them, and at
-        // duplicated in-bin values.
-        let d = finite_ds();
-        let s = schema();
-        let cache = BinnedCache::fit(&d, 4); // coarse: real multi-value bins
-        let (binner, codes) = (cache.binner(), cache.codes());
-        let mut thresholds: Vec<f64> = (0..binner.n_bins(0) - 1)
-            .map(|b| binner.threshold(0, b))
-            .flat_map(|e| [e, e.next_up(), e.next_down()])
-            .collect();
-        thresholds.extend([0.0, 3.0, 7.0, 3.5, -1.0, 99.0, f64::NAN]);
-        for &t in &thresholds {
-            for op in [Op::Eq, Op::Gt, Op::Ge, Op::Lt, Op::Le] {
-                let c = Clause::new(vec![num(op, t)]);
-                let compiled = CompiledClause::compile(&c, &s).unwrap();
-                assert_eq!(
-                    compiled.eval_binned(binner, codes, &d),
-                    compiled.eval(&d),
-                    "op {op:?} threshold {t}"
-                );
-            }
-        }
-        // Mixed clause through the binned plane too.
-        let c = Clause::new(vec![num(Op::Le, binner.threshold(0, 1)), cat(Op::Ne, 2)]);
-        let compiled = CompiledClause::compile(&c, &s).unwrap();
-        assert_eq!(compiled.eval_binned(binner, codes, &d), compiled.eval(&d));
     }
 
     fn frs() -> FeedbackRuleSet {

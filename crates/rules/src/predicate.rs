@@ -108,9 +108,9 @@ impl Predicate {
     ///
     /// Panics if the cell/predicate value kinds mismatch (e.g. numeric
     /// comparison against a categorical cell). Use [`Predicate::validate`]
-    /// up-front to surface such errors as `Result`s — the pre-validated
-    /// scans ([`crate::Clause::try_coverage`],
-    /// [`crate::CompiledClause::compile`]) do this once per ruleset so
+    /// up-front to surface such errors as `Result`s —
+    /// [`crate::CompiledClause::compile`] and
+    /// [`crate::FeedbackRuleSet::try_new`] do this once per rule set so
     /// parsed/expert-submitted rules cannot panic mid-scan.
     pub fn eval(&self, cell: Value) -> bool {
         match (self.op, cell, self.value) {

@@ -121,8 +121,9 @@ impl FeedbackRuleSet {
     /// Valid sets are scanned by the columnar engine ([`CompiledRuleSet`]:
     /// per-rule bitmasks OR-ed word by word); sets that fail validation
     /// fall back to [`FeedbackRuleSet::coverage_interpreted`], preserving
-    /// the interpreter's documented panic behavior. Use
-    /// [`FeedbackRuleSet::try_coverage`] for a `Result` instead.
+    /// the interpreter's documented panic behavior. Build the set with
+    /// [`FeedbackRuleSet::try_new`] (or compile it with
+    /// [`CompiledRuleSet::compile`]) for a `Result` instead.
     pub fn coverage(&self, ds: &Dataset) -> Vec<usize> {
         match CompiledRuleSet::compile(self, ds.schema()) {
             Ok(compiled) => compiled.coverage(ds),
@@ -136,35 +137,6 @@ impl FeedbackRuleSet {
             Ok(compiled) => compiled.outside_coverage(ds),
             Err(_) => self.outside_coverage_interpreted(ds),
         }
-    }
-
-    /// Pre-validated union coverage: validates the whole set (clauses and
-    /// label distributions) against the dataset's schema once, then scans —
-    /// never panics mid-scan on malformed rules.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`RuleError`] of [`FeedbackRuleSet::validate`].
-    pub fn try_coverage(&self, ds: &Dataset) -> Result<Vec<usize>, RuleError> {
-        Ok(CompiledRuleSet::compile(self, ds.schema())?.coverage(ds))
-    }
-
-    /// Pre-validated twin of [`FeedbackRuleSet::outside_coverage`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`RuleError`] of [`FeedbackRuleSet::validate`].
-    pub fn try_outside_coverage(&self, ds: &Dataset) -> Result<Vec<usize>, RuleError> {
-        Ok(CompiledRuleSet::compile(self, ds.schema())?.outside_coverage(ds))
-    }
-
-    /// Pre-validated twin of [`FeedbackRuleSet::attributed_coverage`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`RuleError`] of [`FeedbackRuleSet::validate`].
-    pub fn try_attributed_coverage(&self, ds: &Dataset) -> Result<Vec<Vec<usize>>, RuleError> {
-        Ok(CompiledRuleSet::compile(self, ds.schema())?.attributed_coverage(ds))
     }
 
     /// The row-at-a-time reference implementation of
@@ -610,30 +582,29 @@ mod tests {
     }
 
     #[test]
-    fn try_scans_pre_validate_instead_of_panicking() {
+    fn compiled_scans_pre_validate_instead_of_panicking() {
         let d = ds();
         // A kind-mismatched rule (numeric comparison against the
         // categorical feature) errors up front instead of panicking
         // mid-scan.
-        let bad = FeedbackRuleSet::new(vec![FeedbackRule::deterministic(
+        let bad = FeedbackRule::deterministic(
             Clause::new(vec![Predicate::new(1, Op::Lt, Value::Num(1.0))]),
             0,
-        )]);
-        assert!(bad.try_coverage(&d).is_err());
-        assert!(bad.try_outside_coverage(&d).is_err());
-        assert!(bad.try_attributed_coverage(&d).is_err());
+        );
+        let bad_set = FeedbackRuleSet::new(vec![bad.clone()]);
+        assert!(CompiledRuleSet::compile(&bad_set, d.schema()).is_err());
+        assert!(FeedbackRuleSet::try_new(vec![bad], d.schema()).is_err());
 
         // Valid sets produce exactly the interpreted reference results.
-        let good = FeedbackRuleSet::new(vec![
-            FeedbackRule::deterministic(lt(4.0), 1),
-            FeedbackRule::deterministic(lt(6.0), 1),
-        ]);
-        assert_eq!(good.try_coverage(&d).unwrap(), good.coverage_interpreted(&d));
-        assert_eq!(good.try_outside_coverage(&d).unwrap(), good.outside_coverage_interpreted(&d));
-        assert_eq!(
-            good.try_attributed_coverage(&d).unwrap(),
-            good.attributed_coverage_interpreted(&d)
-        );
+        let good = FeedbackRuleSet::try_new(
+            vec![FeedbackRule::deterministic(lt(4.0), 1), FeedbackRule::deterministic(lt(6.0), 1)],
+            d.schema(),
+        )
+        .unwrap();
+        let compiled = CompiledRuleSet::compile(&good, d.schema()).unwrap();
+        assert_eq!(compiled.coverage(&d), good.coverage_interpreted(&d));
+        assert_eq!(compiled.outside_coverage(&d), good.outside_coverage_interpreted(&d));
+        assert_eq!(compiled.attributed_coverage(&d), good.attributed_coverage_interpreted(&d));
     }
 
     #[test]

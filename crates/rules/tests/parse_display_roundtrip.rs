@@ -96,8 +96,8 @@ fn shortest_float_printing_is_exact() {
 /// to a dataset whose schema drifted (columns dropped, vocabularies
 /// shrunk, a categorical re-encoded as numeric). Such predicates *parse*
 /// fine — the parser only knows the authoring schema — but must be caught
-/// by `validate` / `CompiledClause::compile` / `try_coverage` instead of
-/// panicking inside `Predicate::eval` at scan time.
+/// by `validate` / `CompiledClause::compile` / `FeedbackRuleSet::try_new`
+/// instead of panicking inside `Predicate::eval` at scan time.
 #[test]
 fn parsed_rules_can_fail_validation_against_a_drifted_schema() {
     use frote_data::Dataset;
@@ -137,13 +137,15 @@ fn parsed_rules_can_fail_validation_against_a_drifted_schema() {
     assert!(CompiledClause::compile(&clause, &shrunk).is_err());
 
     // The scan layer surfaces the same error as a Result instead of the
-    // interpreter's panic: try_coverage on a dataset built on the drifted
-    // schema refuses the mismatched clause.
+    // interpreter's panic: compiling against a dataset built on the
+    // drifted schema, or ingesting the rule into a set for it, refuses the
+    // mismatched clause.
     let mut ds = Dataset::new(serving.clone());
     ds.push_row(&[Value::Num(30.0), Value::Num(50_000.0), Value::Num(3.0)], 1).unwrap();
     let clause = parse_clause("job = teacher", &authoring).unwrap();
-    assert!(clause.try_coverage(&ds).is_err());
-    assert!(clause.try_coverage_count(&ds).is_err());
+    assert!(CompiledClause::compile(&clause, ds.schema()).is_err());
+    let rule = FeedbackRule::deterministic(clause, 1);
+    assert!(frote_rules::FeedbackRuleSet::try_new(vec![rule], ds.schema()).is_err());
 
     // And the same clauses validate (and compile) cleanly against the
     // schema they were authored for — the failures above are drift, not

@@ -20,8 +20,7 @@ use std::sync::Arc;
 use frote::{Frote, FroteConfig, SelectionStrategy};
 use frote_data::synth::{DatasetKind, SynthConfig};
 use frote_ml::forest::{ForestParams, RandomForestTrainer};
-use frote_ml::tree::TreeParams;
-use frote_ml::{Classifier, SplitMode};
+use frote_ml::SplitMode;
 use frote_par::test_support::with_threads;
 use frote_rules::parse::parse_rule;
 use frote_rules::FeedbackRuleSet;
@@ -55,41 +54,20 @@ fn run_random() -> u64 {
     fnv1a(format!("{:?}|{:?}", out.dataset, out.report).as_bytes())
 }
 
-/// The categorical histogram-mode scenario of `tests/golden_pipeline.rs`,
-/// verbatim: Car's bins are its categories, so the run reproduces the
-/// exact-mode golden, and appended rows never move the binner — the binned
-/// cache syncs by appending.
-fn run_hist_categorical() -> u64 {
-    let ds = DatasetKind::Car.generate(&SynthConfig { n_rows: 300, ..Default::default() });
-    let rule = parse_rule("safety = low AND buying = low => acc", ds.schema()).unwrap();
-    let frs = FeedbackRuleSet::new(vec![rule]);
-    let tree =
-        TreeParams { max_depth: 3, split_mode: SplitMode::histogram(), ..Default::default() };
-    let trainer = RandomForestTrainer::new(ForestParams { n_trees: 10, tree }, 42);
-    let config = FroteConfig {
-        iteration_limit: 4,
-        instances_per_iteration: Some(15),
-        selection: SelectionStrategy::Random,
-        ..Default::default()
-    };
-    let mut rng = StdRng::seed_from_u64(9);
-    let out = Frote::new(config).run(&ds, &trainer, &frs, &mut rng).unwrap();
-    fnv1a(format!("{:?}|{:?}", out.dataset, out.report).as_bytes())
-}
-
-/// The numeric histogram-mode scenario of `tests/golden_pipeline.rs`,
-/// verbatim — online-proxy selection plus quantized RF retrains, so the run
-/// drives the encoded, binned, and rule-mask caches and the histogram plane.
-fn run_hist_numeric() -> u64 {
+/// The histogram-GBDT scenario of `tests/golden_pipeline.rs`, verbatim —
+/// online-proxy selection plus quantized GBDT retrains, so the run drives
+/// the encoded, binned and rule-mask caches and the histogram plane,
+/// sibling subtraction included.
+fn run_hist_gbdt() -> u64 {
+    use frote_ml::gbdt::{GbdtParams, GbdtTrainer};
     let ds = DatasetKind::WineQuality.generate(&SynthConfig { n_rows: 250, ..Default::default() });
     let rule = parse_rule("alcohol >= 12 => 8", ds.schema()).unwrap();
     let frs = FeedbackRuleSet::new(vec![rule]);
-    let tree = TreeParams {
-        max_depth: 3,
+    let trainer = GbdtTrainer::new(GbdtParams {
+        n_rounds: 8,
         split_mode: SplitMode::Histogram { max_bins: 16 },
         ..Default::default()
-    };
-    let trainer = RandomForestTrainer::new(ForestParams { n_trees: 8, tree }, 7);
+    });
     let config = FroteConfig {
         iteration_limit: 3,
         instances_per_iteration: Some(12),
@@ -99,21 +77,6 @@ fn run_hist_numeric() -> u64 {
     let mut rng = StdRng::seed_from_u64(21);
     let out = Frote::new(config).run(&ds, &trainer, &frs, &mut rng).unwrap();
     fnv1a(format!("{:?}|{:?}", out.dataset, out.report).as_bytes())
-}
-
-/// The GOSS-mode GBDT fit of `tests/golden_pipeline.rs`, verbatim: GBDT
-/// histogram trees derive each larger child's histogram by sibling
-/// subtraction, which forest trees (per-node feature sampling) never do.
-fn run_goss() -> u64 {
-    use frote_ml::gbdt::{Gbdt, GbdtParams};
-    let ds = DatasetKind::WineQuality.generate(&SynthConfig { n_rows: 250, ..Default::default() });
-    let params = GbdtParams {
-        n_rounds: 8,
-        split_mode: SplitMode::parse("goss:16:300:200:11").expect("valid goss spec"),
-        ..Default::default()
-    };
-    let model = Gbdt::fit(&ds, &params);
-    fnv1a(format!("{:?}", model.predict_dataset(&ds)).as_bytes())
 }
 
 /// The two-rule Nursery IP scenario of `tests/golden_pipeline.rs`,
@@ -177,8 +140,7 @@ fn run_serve() {
 
 /// Must match `tests/golden_pipeline.rs`.
 const GOLDEN_RANDOM: u64 = 0x3d16_ce7c_f8d3_ed96;
-const GOLDEN_HIST_NUMERIC: u64 = 0x53e4_4701_4ba3_c2e6;
-const GOLDEN_GOSS: u64 = 0xc87e_7f3b_cfc3_9443;
+const GOLDEN_HIST_GBDT: u64 = 0x9751_6ca2_7a95_6712;
 const GOLDEN_IP: u64 = 0xb987_5e83_8dd6_56b2;
 
 /// The nonzero invariant metrics of [`run_ip`] alone. Gauges are pinned by
@@ -204,42 +166,41 @@ const IP_PINS: &[(&str, u64)] = &[
     ("frote.objective", 0x3fe9_a15b_deee_9eda),
 ];
 
-/// The nonzero invariant metrics of [`run_random`],
-/// [`run_hist_categorical`], [`run_hist_numeric`] and [`run_goss`], run in
-/// that order.
+/// The nonzero invariant metrics of [`run_random`] and [`run_hist_gbdt`],
+/// run in that order.
 const PIPELINE_PINS: &[(&str, u64)] = &[
-    ("binned_cache.appended_rows", 60),
-    ("binned_cache.sync.append", 4),
     ("binned_cache.sync.rebuild", 3),
-    ("binned_cache.sync.rebuild.fit_changed", 3),
-    ("binned_cache.truncated_rows", 30),
+    ("binned_cache.sync.rebuild.fit_changed", 2),
+    ("binned_cache.sync.rebuild.stale_fit", 1),
+    ("binned_cache.truncated_rows", 24),
     ("binned_cache.truncates", 2),
     ("encoded_cache.sync.noop", 1),
-    ("encoded_cache.sync.rebuild", 2),
-    ("encoded_cache.sync.rebuild.fit_changed", 2),
-    ("frote.accepted", 7),
-    ("frote.iterations", 11),
+    ("encoded_cache.sync.rebuild", 1),
+    ("encoded_cache.sync.rebuild.fit_changed", 1),
+    ("frote.accepted", 3),
+    ("frote.iterations", 7),
     ("frote.rejected", 4),
-    ("frote.rows_appended", 96),
-    ("frote.rows_truncated", 60),
-    ("frote.synthetic_rows", 156),
-    ("hist.bins_zeroed", 157_564),
-    ("hist.nodes_built", 771),
-    ("hist.sibling_subtractions", 165),
-    ("lr.fits", 3),
-    ("lr.iterations", 150),
-    ("lr.max_iter_stops", 3),
-    ("rule_engine.clauses_compiled", 26),
-    ("rule_engine.eval_raw", 26),
-    ("rule_mask_cache.appended_rows", 156),
-    ("rule_mask_cache.sync.append", 11),
-    ("rule_mask_cache.sync.noop", 3),
-    ("rule_mask_cache.sync.rebuild", 3),
-    ("rule_mask_cache.sync.rebuild.first_fit", 3),
-    ("rule_mask_cache.truncated_rows", 60),
+    ("frote.rows_appended", 42),
+    ("frote.rows_truncated", 54),
+    ("frote.synthetic_rows", 96),
+    ("hist.bins_zeroed", 311_520),
+    ("hist.nodes_built", 885),
+    ("hist.sibling_subtractions", 661),
+    ("lr.fits", 2),
+    ("lr.iterations", 100),
+    ("lr.max_iter_stops", 2),
+    ("rule_engine.clauses_compiled", 14),
+    ("rule_engine.eval_raw", 14),
+    ("rule_mask_cache.appended_rows", 96),
+    ("rule_mask_cache.sync.append", 7),
+    ("rule_mask_cache.sync.noop", 2),
+    ("rule_mask_cache.sync.rebuild", 2),
+    ("rule_mask_cache.sync.rebuild.first_fit", 2),
+    ("rule_mask_cache.truncated_rows", 54),
     ("rule_mask_cache.truncates", 4),
-    ("select.memo_misses", 3),
-    ("frote.objective", 0x3fe4_8a4c_d152_a5dc),
+    ("select.memo_hits", 1),
+    ("select.memo_misses", 2),
+    ("frote.objective", 0x3fed_85d0_87ab_e302),
 ];
 
 /// The nonzero invariant metrics of [`run_serve`].
@@ -297,9 +258,9 @@ fn metrics_on_preserves_goldens_and_invariant_counters_across_threads() {
     // trivially — no counts may accumulate.
     frote_obs::set_metrics_enabled(false);
     frote_obs::reset();
-    let (a, b) = with_threads(2, || (run_random(), run_hist_numeric()));
+    let (a, b) = with_threads(2, || (run_random(), run_hist_gbdt()));
     assert_eq!(a, GOLDEN_RANDOM, "golden drifted with metrics off");
-    assert_eq!(b, GOLDEN_HIST_NUMERIC, "histogram golden drifted with metrics off");
+    assert_eq!(b, GOLDEN_HIST_GBDT, "histogram golden drifted with metrics off");
     assert_eq!(
         frote_obs::snapshot().counter("frote.iterations"),
         None,
@@ -325,12 +286,10 @@ fn metrics_on_preserves_goldens_and_invariant_counters_across_threads() {
         assert!(misses <= count("frote.accepted") + 1, "{misses} memo misses at {t} threads");
 
         frote_obs::reset();
-        let hashes = with_threads(t, || {
-            [run_random(), run_hist_categorical(), run_hist_numeric(), run_goss()]
-        });
+        let hashes = with_threads(t, || [run_random(), run_hist_gbdt()]);
         assert_eq!(
             hashes,
-            [GOLDEN_RANDOM, GOLDEN_RANDOM, GOLDEN_HIST_NUMERIC, GOLDEN_GOSS],
+            [GOLDEN_RANDOM, GOLDEN_HIST_GBDT],
             "recording perturbed a golden at {t} threads"
         );
         let snap = assert_pinned("pipeline", t, PIPELINE_PINS);

@@ -1,27 +1,11 @@
-//! Property pin for the quantized training plane: with a bin budget that
-//! covers every distinct value (and few enough distinct values that the
-//! exact search skips its per-node threshold thinning), the histogram split
-//! search reproduces the exact search decision-for-decision — identical
-//! node count, identical split features, identical leaf distributions, and
-//! identical routing of every training row. Numeric thresholds may differ
-//! in *representation* at deeper nodes (both searches cut the same value
-//! gap, but the exact search uses the node-local midpoint while the
-//! histogram search uses the first global bin edge inside the gap), so the
-//! comparison normalizes threshold literals away before asserting the
-//! trees' `Debug` renderings are equal.
-//!
-//! A second property drops the precondition and checks the contract that
-//! must hold for *any* budget: histogram-mode training is bit-identical
-//! across thread counts (fixed-order block reduction), and cached
-//! (incrementally binned) training equals fresh training.
+//! Property pins for histogram GBDT, at any bin budget: training is
+//! bit-identical across thread counts (fixed-order block reduction), and
+//! cached (incrementally binned) training equals fresh training.
 
-use frote_data::{BinnedCache, Dataset, Schema, Value};
-use frote_ml::gbdt::{Gbdt, GbdtParams};
-use frote_ml::tree::{DecisionTree, DecisionTreeTrainer, TreeParams};
+use frote_data::{Dataset, Schema, Value};
+use frote_ml::gbdt::{Gbdt, GbdtParams, GbdtTrainer};
 use frote_ml::{Classifier, SplitMode, TrainAlgorithm, TrainCache};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn schema() -> Schema {
     Schema::builder("y", vec!["a".into(), "b".into(), "c".into()])
@@ -32,9 +16,8 @@ fn schema() -> Schema {
 }
 
 prop_compose! {
-    /// Rows whose numeric cells take at most 16 distinct values, so the
-    /// exact search's MAX_THRESHOLDS thinning never engages and a 64-bin
-    /// budget yields one bin per distinct value.
+    /// Small mixed rows whose numeric cells take at most 16 distinct
+    /// values, so budgets below 16 genuinely merge values into bins.
     fn arb_coarse_dataset()(rows in proptest::collection::vec(
         (0u8..16, 0u8..12, 0u32..4, 0u32..3), 12..80,
     )) -> Dataset {
@@ -50,66 +33,18 @@ prop_compose! {
     }
 }
 
-/// Blanks the numeric value after every `threshold: ` up to the following
-/// comma, so tree `Debug` renderings compare structure, split features,
-/// and leaf distributions — everything but the in-gap threshold placement.
-fn normalize_thresholds(debug: &str) -> String {
-    let mut out = String::with_capacity(debug.len());
-    let mut rest = debug;
-    while let Some(at) = rest.find("threshold: ") {
-        let tail = &rest[at + "threshold: ".len()..];
-        let cut = tail.find(',').unwrap_or(tail.len());
-        out.push_str(&rest[..at]);
-        out.push_str("threshold: <gap>");
-        rest = &tail[cut..];
-    }
-    out.push_str(rest);
-    out
-}
-
 proptest! {
-    /// Decision-for-decision equivalence under the coverage precondition.
-    #[test]
-    fn histogram_reproduces_exact_decisions(ds in arb_coarse_dataset(), depth in 1usize..6) {
-        let params = TreeParams { max_depth: depth, ..Default::default() };
-        let idx: Vec<usize> = (0..ds.n_rows()).collect();
-        let exact = DecisionTree::fit(&ds, &idx, &params, &mut StdRng::seed_from_u64(1));
-        let binned = BinnedCache::fit(&ds, 64);
-        let hist = DecisionTree::fit_hist(
-            &ds,
-            binned.binner(),
-            binned.codes(),
-            &idx,
-            &params,
-            &mut StdRng::seed_from_u64(1),
-        );
-        prop_assert_eq!(exact.n_nodes(), hist.n_nodes());
-        prop_assert_eq!(exact.feature_split_counts(), hist.feature_split_counts());
-        // Identical structure and leaf distributions (thresholds normalized).
-        prop_assert_eq!(
-            normalize_thresholds(&format!("{exact:?}")),
-            normalize_thresholds(&format!("{hist:?}"))
-        );
-        // Identical routing: every training row reaches a leaf with the
-        // same class distribution, bit for bit.
-        for i in 0..ds.n_rows() {
-            let row = ds.row(i);
-            prop_assert_eq!(exact.predict_proba(&row), hist.predict_proba(&row), "row {}", i);
-        }
-    }
-
     /// For any budget: thread-count invariance and cache transparency.
     #[test]
     fn histogram_training_is_deterministic_and_cache_transparent(
         ds in arb_coarse_dataset(),
         max_bins in 2usize..32,
     ) {
-        let params = TreeParams {
-            max_depth: 4,
+        let trainer = GbdtTrainer::new(GbdtParams {
+            n_rounds: 3,
             split_mode: SplitMode::Histogram { max_bins },
             ..Default::default()
-        };
-        let trainer = DecisionTreeTrainer::new(params, 3);
+        });
         let preds_at = |threads: usize| {
             frote_par::test_support::with_threads(threads, || {
                 trainer.train(&ds).predict_dataset(&ds)
@@ -126,7 +61,7 @@ proptest! {
         prop_assert_eq!(&resynced, &serial, "resynced cache drifted");
     }
 
-    /// GBDT's histogram regression trees share the determinism contract.
+    /// Probabilities, not just labels, are bit-identical across threads.
     #[test]
     fn histogram_gbdt_is_thread_count_invariant(ds in arb_coarse_dataset()) {
         let params = GbdtParams {

@@ -5,11 +5,11 @@
 //! `*_interpreted` scans) is the executable specification; the compiled
 //! bitmask engine must agree with it on every row of every dataset,
 //! including rows holding IEEE NaN cells and thresholds that land exactly
-//! on (or one ULP off) quantization bin edges. Thread invariance is pinned
+//! on (or one ULP off) the values in the data. Thread invariance is pinned
 //! separately on a dataset large enough to cross the engine's parallel
 //! threshold.
 
-use frote_data::{BinnedCache, Dataset, Schema, Value};
+use frote_data::{Dataset, Schema, Value};
 use frote_rules::{
     Clause, CompiledClause, CompiledRuleSet, FeedbackRule, FeedbackRuleSet, Op, Predicate,
     RuleMaskCache,
@@ -42,14 +42,6 @@ prop_compose! {
     }
 }
 
-prop_compose! {
-    fn arb_finite_row()(x0 in arb_grid_value(), x1 in arb_grid_value(), k in 0u32..4)
-        -> Vec<Value>
-    {
-        vec![Value::Num(x0), Value::Num(x1), Value::Cat(k)]
-    }
-}
-
 fn build_dataset(rows: Vec<(Vec<Value>, u32)>) -> Dataset {
     let mut ds = Dataset::new(schema());
     for (row, label) in rows {
@@ -63,13 +55,8 @@ fn arb_dataset(max_rows: usize) -> impl Strategy<Value = Dataset> {
     proptest::collection::vec((arb_row(), 0u32..3), 1..max_rows).prop_map(build_dataset)
 }
 
-/// Dataset of finite values only (required by the binned plane).
-fn arb_finite_dataset(max_rows: usize) -> impl Strategy<Value = Dataset> {
-    proptest::collection::vec((arb_finite_row(), 0u32..3), 1..max_rows).prop_map(build_dataset)
-}
-
 /// Thresholds sit on the value grid or one ULP to either side of it, so
-/// they routinely hit bin edges exactly and straddle them minimally.
+/// they routinely hit row values exactly and straddle them minimally.
 fn arb_threshold() -> impl Strategy<Value = f64> {
     (arb_grid_value(), -1i32..=1).prop_map(|(v, shift)| match shift {
         -1 => v.next_down(),
@@ -128,23 +115,6 @@ proptest! {
         prop_assert_eq!(mask.indices(), clause.coverage_interpreted(&ds));
         prop_assert_eq!(mask.count(), clause.coverage_count_interpreted(&ds));
         prop_assert_eq!(compiled.coverage(&ds), clause.coverage(&ds));
-    }
-
-    /// The binned fast path (bin-code comparisons with raw fallback on the
-    /// ambiguous bin) returns exactly the raw-plane mask, even when
-    /// thresholds sit on — or one ULP off — the fitted bin edges.
-    #[test]
-    fn binned_plane_matches_raw_plane(
-        ds in arb_finite_dataset(48),
-        clause in arb_clause(4),
-        max_bins in 2usize..6,
-    ) {
-        let cache = BinnedCache::fit(&ds, max_bins);
-        let compiled = CompiledClause::compile(&clause, ds.schema()).unwrap();
-        let raw = compiled.eval(&ds);
-        let binned = compiled.eval_binned(cache.binner(), cache.codes(), &ds);
-        prop_assert_eq!(binned.indices(), raw.indices(),
-            "binned/raw disagree: clause {}, max_bins {}", clause, max_bins);
     }
 
     /// Whole-set scans: the compiled engine's coverage, outside coverage,
@@ -234,37 +204,5 @@ fn parallel_scan_is_thread_invariant() {
             let par = with_threads(t, || compiled.eval(&ds));
             assert_eq!(par, reference, "FROTE_THREADS={t}, clause {clause}");
         }
-    }
-}
-
-/// Binned evaluation is likewise thread-invariant and raw-identical on a
-/// large finite dataset.
-#[test]
-fn parallel_binned_scan_is_thread_invariant() {
-    use frote_par::test_support::with_threads;
-    let mut ds = Dataset::new(schema());
-    for i in 0..8_192 {
-        ds.push_row(
-            &[
-                Value::Num((i % 31) as f64 * 0.5 - 7.0),
-                Value::Num(((i * 5) % 13) as f64 * 0.25),
-                Value::Cat((i % 4) as u32),
-            ],
-            (i % 3) as u32,
-        )
-        .unwrap();
-    }
-    let cache = BinnedCache::fit(&ds, 8);
-    let clause = Clause::new(vec![
-        Predicate::new(0, Op::Le, Value::Num(0.5)),
-        Predicate::new(1, Op::Ge, Value::Num(1.0)),
-    ]);
-    let compiled = CompiledClause::compile(&clause, ds.schema()).unwrap();
-    let raw = compiled.eval(&ds);
-    let reference = with_threads(1, || compiled.eval_binned(cache.binner(), cache.codes(), &ds));
-    assert_eq!(reference, raw, "binned plane disagrees with raw plane");
-    for t in [2, 4, 8] {
-        let par = with_threads(t, || compiled.eval_binned(cache.binner(), cache.codes(), &ds));
-        assert_eq!(par, reference, "FROTE_THREADS={t}");
     }
 }
