@@ -7,9 +7,9 @@
 //! into LightGBM's histogram engineering too: the dataset is quantized once
 //! per fit and every tree of every round searches splits over gradient
 //! histograms (see [`crate::histogram`]); GBDT is the only family with a
-//! histogram search. The default exact search ranks
-//! each numeric column once per fit and orders every node's rows by a
-//! stable counting sort on those ranks (the `rank` module).
+//! histogram search. The default exact search ranks each numeric column
+//! once per fit and orders every node's rows by a stable counting sort on
+//! those ranks (the `rank` module).
 
 use frote_data::{BinnedCache, BinnedMatrix, Binner, Column, Dataset, FeatureMatrix, Value};
 
