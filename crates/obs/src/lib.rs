@@ -2,8 +2,9 @@
 //!
 //! This crate provides a process-global metrics registry — atomic
 //! [`Counter`]s, [`Gauge`]s, fixed-bucket latency [`Histogram`]s with
-//! lock-free `u64` bins, and RAII [`SpanTimer`]s. [`snapshot_json`] prints the registry with the crate's own small
-//! [`json`] writer, which `frote_eval::export` shares.
+//! lock-free `u64` bins, and RAII [`SpanTimer`]s. [`snapshot_json`] prints
+//! the registry with the crate's own small [`json`] writer, which
+//! `frote_eval::export` shares.
 //!
 //! # Gating
 //!
@@ -12,7 +13,7 @@
 //! `FROTE_METRICS=1` in the environment, or [`set_metrics_enabled`] as a
 //! process-default override (the same pattern as `frote_par::set_threads`
 //! / `frote_ml::set_default_split_mode`). A FROTE run's per-iteration
-//! decisions are not traced here: `FroteReport::iterations` records them.
+//! decisions are in its `FroteReport::iterations`, not here.
 //!
 //! # Determinism contract
 //!
