@@ -12,10 +12,9 @@
 
 use frote::{Frote, FroteConfig, SelectionStrategy};
 use frote_data::synth::{DatasetKind, SynthConfig};
-use frote_data::Dataset;
 use frote_ml::forest::{ForestParams, RandomForestTrainer};
 use frote_ml::logreg::LogisticRegressionTrainer;
-use frote_ml::{Classifier, SplitMode, TrainAlgorithm};
+use frote_ml::{SplitMode, TrainAlgorithm};
 use frote_par::test_support::with_threads;
 use frote_rules::parse::parse_rule;
 use frote_rules::FeedbackRuleSet;
@@ -136,6 +135,28 @@ fn run_joint() -> u64 {
     fnv1a(format!("{:?}|{:?}", out.dataset, out.report).as_bytes())
 }
 
+/// The all-categorical Car scenario with random selection, retrained by
+/// `trainer`: appending rows never moves a one-hot encoding or categorical
+/// bin codes, so this is the schema on which a retrain could reuse the
+/// encoding or binning of the rows it saw before. Returns the output hash
+/// and the (accepted, rejected) iteration counts.
+fn run_categorical(trainer: &dyn TrainAlgorithm, seed: u64) -> (u64, usize, usize) {
+    let ds = DatasetKind::Car.generate(&SynthConfig { n_rows: 300, ..Default::default() });
+    let rule = parse_rule("persons = more AND safety = med => good", ds.schema()).unwrap();
+    let frs = FeedbackRuleSet::new(vec![rule]);
+    let config = FroteConfig {
+        iteration_limit: 6,
+        instances_per_iteration: Some(15),
+        selection: SelectionStrategy::Random,
+        ..Default::default()
+    };
+    let mut rng = StdRng::seed_from_u64(seed);
+    let out = Frote::new(config).run(&ds, trainer, &frs, &mut rng).unwrap();
+    let accepted = out.report.iterations.iter().filter(|r| r.accepted).count();
+    let rejected = out.report.iterations.len() - accepted;
+    (fnv1a(format!("{:?}|{:?}", out.dataset, out.report).as_bytes()), accepted, rejected)
+}
+
 /// Captured from the seed (pre-refactor) tree; see the module docs.
 const GOLDEN_RANDOM: u64 = 0x3d16_ce7c_f8d3_ed96;
 const GOLDEN_ONLINE: u64 = 0x95e7_5f49_4078_f82e;
@@ -146,6 +167,11 @@ const GOLDEN_HIST_GBDT: u64 = 0x9751_6ca2_7a95_6712;
 /// reproduce the recomputed selections byte for byte.
 const GOLDEN_IP: u64 = 0xb987_5e83_8dd6_56b2;
 const GOLDEN_JOINT: u64 = 0xdea4_86bc_0bd4_d0a1;
+/// Captured while LR and histogram GBDT still reused encodings and bin
+/// codes across retrains; a fit that encodes and bins from scratch must
+/// reproduce them byte for byte.
+const GOLDEN_CATEGORICAL_LR: u64 = 0x3333_108b_9356_18c2;
+const GOLDEN_CATEGORICAL_HIST_GBDT: u64 = 0x455c_073a_3c61_449f;
 
 #[test]
 fn pipeline_output_pinned_at_1_and_4_threads() {
@@ -156,47 +182,32 @@ fn pipeline_output_pinned_at_1_and_4_threads() {
     }
 }
 
-/// Forces the default `train_cached` → `train` path, disabling the LR
-/// trainer's [`frote_data::EncodedCache`] reuse — the reference the cached
-/// run must reproduce byte for byte.
-struct UncachedLr(LogisticRegressionTrainer);
-
-impl TrainAlgorithm for UncachedLr {
-    fn train(&self, ds: &Dataset) -> Box<dyn Classifier> {
-        self.0.train(ds)
-    }
-
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-}
-
-/// The numeric WineQuality scenario with **LR as the training algorithm**
-/// (not just the selection proxy): every retrain goes through
-/// `TrainAlgorithm::train_cached`, so the run exercises the loop's
-/// `EncodedCache` appends and rejection rollbacks end to end.
-fn run_lr(trainer: &dyn TrainAlgorithm) -> u64 {
-    let ds = DatasetKind::WineQuality.generate(&SynthConfig { n_rows: 250, ..Default::default() });
-    let rule = parse_rule("alcohol >= 12 => 8", ds.schema()).unwrap();
-    let frs = FeedbackRuleSet::new(vec![rule]);
-    let config = FroteConfig {
-        iteration_limit: 3,
-        instances_per_iteration: Some(12),
-        selection: SelectionStrategy::OnlineProxy,
-        ..Default::default()
-    };
-    let mut rng = StdRng::seed_from_u64(21);
-    let out = Frote::new(config).run(&ds, trainer, &frs, &mut rng).unwrap();
-    fnv1a(format!("{:?}|{:?}", out.dataset, out.report).as_bytes())
-}
-
 #[test]
-fn lr_cached_training_matches_uncached_at_1_and_4_threads() {
-    let cached = LogisticRegressionTrainer::default();
-    let uncached = UncachedLr(LogisticRegressionTrainer::default());
+fn categorical_pipeline_pinned_at_1_and_4_threads() {
+    use frote_ml::gbdt::{GbdtParams, GbdtTrainer};
+    let lr = LogisticRegressionTrainer::default();
+    let gbdt = GbdtTrainer::new(GbdtParams {
+        n_rounds: 8,
+        split_mode: SplitMode::Histogram { max_bins: 16 },
+        ..Default::default()
+    });
     for t in [1usize, 4] {
-        let (a, b) = with_threads(t, || (run_lr(&cached), run_lr(&uncached)));
-        assert_eq!(a, b, "LR train_cached drifted from the uncached path at {t} threads");
+        let (lr_run, gbdt_run) =
+            with_threads(t, || (run_categorical(&lr, 4), run_categorical(&gbdt, 4)));
+        // Both runs must accept and reject, or they would not cover the
+        // retrain after a rollback.
+        assert_eq!(
+            lr_run,
+            (GOLDEN_CATEGORICAL_LR, 3, 3),
+            "categorical LR pipeline drifted at {t} threads: {:#018x}",
+            lr_run.0
+        );
+        assert_eq!(
+            gbdt_run,
+            (GOLDEN_CATEGORICAL_HIST_GBDT, 1, 5),
+            "categorical histogram-GBDT pipeline drifted at {t} threads: {:#018x}",
+            gbdt_run.0
+        );
     }
 }
 
