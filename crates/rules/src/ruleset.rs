@@ -72,8 +72,8 @@ impl FeedbackRuleSet {
     }
 
     /// Validated construction: every rule is checked against `schema` and
-    /// lowered through the engine's compile path before the set exists —
-    /// the ingestion-time counterpart of the scan-time `try_*` methods, so
+    /// lowered through the engine's compile path
+    /// ([`CompiledRuleSet::compile`]) before the set exists, so
     /// expert-submitted or parsed rules are rejected with a [`RuleError`]
     /// before they can reach any scan.
     ///
@@ -265,10 +265,9 @@ impl FeedbackRuleSet {
     /// pair a new rule `s1 AND s2 -> (π1+π2)/2` is prepended (higher
     /// priority); under first-match attribution this excludes the
     /// intersection from both originals, realizing the paper's option 2
-    /// without clause negation. The intersection pass runs once — mixture
-    /// rules agree on their overlaps by construction only pairwise, so any
-    /// residual conflicts among them are resolved by a final `DropLater`
-    /// sweep.
+    /// without clause negation. The intersection pass runs once and keeps
+    /// every rule: wherever two rules of the result still overlap,
+    /// first-match attribution lets the earlier one win.
     pub fn resolve_conflicts(
         &self,
         schema: &Schema,
@@ -290,7 +289,7 @@ impl FeedbackRuleSet {
                 }
                 let mut rules = intersections;
                 rules.extend(self.rules.iter().cloned());
-                FeedbackRuleSet { rules }.resolve_drop_later_prioritized(schema)
+                FeedbackRuleSet { rules }
             }
         }
     }
@@ -306,19 +305,6 @@ impl FeedbackRuleSet {
             }
         }
         FeedbackRuleSet { rules: kept }
-    }
-
-    /// Like `resolve_drop_later` but treats *prioritized overlap* as
-    /// acceptable: a later rule overlapping an earlier one is kept when the
-    /// earlier rule is more specific (its clause subsumes under first-match).
-    /// Here we keep it simple: later rules whose conflicts are entirely with
-    /// earlier rules are retained because first-match attribution silences
-    /// the overlap; mutual conflicts among equal-priority additions fall back
-    /// to dropping.
-    fn resolve_drop_later_prioritized(&self, _schema: &Schema) -> FeedbackRuleSet {
-        // First-match attribution makes earlier rules win on overlaps, so
-        // the ordered set is already effectively conflict-free.
-        self.clone()
     }
 
     /// Merges rules that overlap but do not conflict (paper §3.2: disjoint

@@ -113,8 +113,9 @@ impl RowGuard {
     ///
     /// # Errors
     ///
-    /// Propagates [`frote_rules::RuleError`] from compilation (unreachable
-    /// for a well-formed schema, but the `try_*` contract is kept).
+    /// Propagates [`frote_rules::RuleError`] from
+    /// [`CompiledClause::compile`] (unreachable for a well-formed schema,
+    /// but the error is kept).
     pub fn not_null(schema: &Schema) -> Result<RowGuard, ServeError> {
         let preds = numeric_features(schema)
             .map(|j| Predicate::new(j, Op::Ge, Value::Num(f64::NEG_INFINITY)))
@@ -144,7 +145,8 @@ impl RowGuard {
     ///
     /// # Errors
     ///
-    /// Propagates [`frote_rules::RuleError`] from the `try_*` compile path.
+    /// Propagates [`frote_rules::RuleError`] from
+    /// [`CompiledClause::compile`].
     pub fn from_clause(clause: Clause, schema: &Schema) -> Result<RowGuard, ServeError> {
         let display = clause.display_with(schema).to_string();
         let compiled = CompiledClause::compile(&clause, schema)?;

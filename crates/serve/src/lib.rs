@@ -12,7 +12,7 @@
 //!   in-flight readers keep the generation they resolved;
 //! - [`boundary`] — request validation with the PR 6 rule engine: rows are
 //!   parsed against the model's schema and swept through a compiled
-//!   not-null/range guard clause (`CompiledClause`, the `try_*` path), so
+//!   not-null/range guard clause (`CompiledClause::compile`), so
 //!   malformed input surfaces a structured error before any scan — never a
 //!   worker panic;
 //! - [`batch`] — request micro-batching: concurrent score requests are
@@ -85,7 +85,8 @@ pub enum ServeError {
         /// Display form of the guard constraint that rejected them.
         guard: String,
     },
-    /// Rule validation/compilation failed (the `try_*` ingestion path).
+    /// Rule validation/compilation failed (`CompiledClause::compile` or
+    /// `FeedbackRuleSet::try_push`).
     Rule(frote_rules::RuleError),
     /// The server is shutting down and no longer accepts work.
     Unavailable,

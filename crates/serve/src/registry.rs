@@ -96,8 +96,9 @@ impl Snapshot {
 /// ever sees finished [`Snapshot`]s.
 pub trait Refitter: Send + Sync {
     /// Produces a fresh snapshot; `rule` is an optional feedback rule in
-    /// the parser's syntax, ingested through the validated `try_*` path
-    /// and folded into a FROTE edit before retraining.
+    /// the parser's syntax, ingested through the validated
+    /// [`FeedbackRuleSet::try_push`] and folded into a FROTE edit before
+    /// retraining.
     ///
     /// # Errors
     ///
