@@ -178,13 +178,11 @@ impl Frote {
             return Err(FroteError::DatasetTooSmall { rows: active.n_rows(), required: cfg.k + 1 });
         }
 
-        // Lines 2-4: initial model, objective, base population. The cache
-        // is created first: histogram-mode trainers bin the base rows here
-        // and bin only appended rows on every retrain below, and the rule
+        // Lines 2-4: initial model, objective, base population. The rule
         // set is compiled onto the columnar engine once — every objective
         // evaluation reads coverage from incrementally synced bitmasks.
         let mut select_cache = SelectCache::new();
-        let mut model = algorithm.train_cached(&active, select_cache.train_cache());
+        let mut model = algorithm.train(&active);
         let initial = {
             let masks = select_cache.rule_masks(frs, &active);
             empirical_j_masked(model.as_ref(), &active, frs, &cfg.weights, masks)
@@ -196,10 +194,6 @@ impl Frote {
         // population change only on an accept, so the select cache replays
         // the last rng-free selection (line 7) after every reject: IP's kNN
         // weights and simplex run once per accept, not once per iteration.
-        // It also keeps the proxy strategies' encoded matrix and the
-        // trainer's bin codes incremental (base rows encoded/binned once;
-        // only accepted synthetic rows are appended) — all bit-identical to
-        // recomputing from scratch.
         let mut iterations = Vec::new();
         let mut total_added = 0usize;
         let mut i = 0usize;
@@ -227,7 +221,7 @@ impl Frote {
             }
             let mut candidate = active.clone();
             candidate.extend_from(&synthetic).expect("generator preserves the schema");
-            let candidate_model = algorithm.train_cached(&candidate, select_cache.train_cache());
+            let candidate_model = algorithm.train(&candidate);
             // Line 11 (Ĵ_D̂(M_D', F)) is read as "the empirical objective
             // over the current candidate dataset": with tcf = 0 the only
             // rule-covered instances in existence are the synthetic ones in
@@ -260,10 +254,9 @@ impl Frote {
             } else {
                 REJECTED.inc();
                 ROWS_TRUNCATED.add(synthetic.n_rows() as u64);
-                // Roll the train cache and rule-mask plane back to the
-                // surviving rows so the next candidate's rows replace the
-                // rejected ones.
-                select_cache.truncate_train(active.n_rows());
+                // Roll the rule-mask plane back to the surviving rows so the
+                // next candidate's rows replace the rejected ones.
+                select_cache.truncate_rule_masks(active.n_rows());
             }
             iterations.push(record);
             i += 1;

@@ -15,9 +15,9 @@
 //!   "too computationally intensive to be practical"; this proxy keeps the
 //!   spirit at `O(|P|)` cost and is benchmarked as an ablation.
 
-use frote_data::{Dataset, EncodedCache, FeatureMatrix};
+use frote_data::{Dataset, Encoder, FeatureMatrix};
 use frote_ml::logreg::{LogRegParams, LogisticRegression};
-use frote_ml::{Classifier, TrainCache};
+use frote_ml::Classifier;
 use frote_obs::Counter;
 use frote_opt::SelectionProblem;
 use frote_rules::{FeedbackRuleSet, RuleMaskCache};
@@ -46,14 +46,12 @@ static MEMO_MISSES: Counter = Counter::new("select.memo_misses");
 ///   candidate the next call returns it verbatim instead of recomputing
 ///   it. `Random` draws from the loop's rng and is never memoized: a
 ///   replayed draw would shift the random stream.
-/// - The incremental [`EncodedCache`] of `D̂` plus the LR proxy fitted from
-///   it, for `OnlineProxy` and `JointNeighbors` (base rows encoded once,
-///   the fit reused verbatim while the row count holds).
-/// - Train-side: the loop's [`TrainCache`], so histogram-mode GBDT
-///   trainers bin base rows once and bin codes append incrementally
-///   exactly like the encoded rows do, and the compiled rule-mask plane
-///   the objective reads. These see candidate rows and are rolled back by
-///   [`SelectCache::truncate_train`] on a reject.
+/// - The LR proxy of `D̂` for `OnlineProxy` and `JointNeighbors`, with the
+///   encoded matrix it was fitted from, refitted only when the row count
+///   changes.
+/// - The compiled rule-mask plane the objective reads. It sees candidate
+///   rows and is rolled back by [`SelectCache::truncate_rule_masks`] on a
+///   reject.
 ///
 /// Must only be reused across calls that pass the *same, append-only*
 /// dataset, the same strategy, rules, `η` and `k`, and — at any one row
@@ -61,10 +59,8 @@ static MEMO_MISSES: Counter = Counter::new("select.memo_misses");
 /// own cache.
 #[derive(Debug, Default)]
 pub struct SelectCache {
-    encoded: Option<EncodedCache>,
-    proxy: Option<(usize, LogisticRegression)>,
+    proxy: Option<(usize, LogisticRegression, FeatureMatrix)>,
     selection: Option<(usize, Vec<BaseInstance>)>,
-    train: TrainCache,
     rules: Option<RuleMaskCache>,
 }
 
@@ -74,20 +70,11 @@ impl SelectCache {
         SelectCache::default()
     }
 
-    /// The retrain-side cache handed to [`frote_ml::TrainAlgorithm::
-    /// train_cached`] each time the loop (re)trains the model.
-    pub fn train_cache(&mut self) -> &mut TrainCache {
-        &mut self.train
-    }
-
-    /// Drops train-side cached rows past the first `rows` — called when a
+    /// Drops rule-mask rows past the first `rows` — called when a
     /// candidate batch is rejected, so the next candidate's rows replace
-    /// the rejected ones instead of appending after them. The rule-mask
-    /// plane rides along: rejected candidate rows drop out of the compiled
-    /// coverage masks too. The select-side caches never see candidate rows
-    /// and need no rollback.
-    pub fn truncate_train(&mut self, rows: usize) {
-        self.train.truncate(rows);
+    /// the rejected ones instead of appending after them. The select-side
+    /// entries never see candidate rows and need no rollback.
+    pub fn truncate_rule_masks(&mut self, rows: usize) {
         if let Some(masks) = &mut self.rules {
             masks.truncate(rows);
         }
@@ -96,9 +83,9 @@ impl SelectCache {
     /// The compiled rule-mask plane of `frs` over `ds`, synced to the
     /// dataset's current rows (`frote_rules::RuleMaskCache` semantics: the
     /// first call evaluates every row, later calls append only the tail;
-    /// rejected rows are rolled back by [`SelectCache::truncate_train`]).
+    /// rejected rows are rolled back by [`SelectCache::truncate_rule_masks`]).
     ///
-    /// Like the other planes, the cache assumes every call passes the
+    /// Like the other entries, the plane assumes every call passes the
     /// *same* rule set and the same append-only dataset.
     ///
     /// # Panics
@@ -115,25 +102,23 @@ impl SelectCache {
 
     /// The LR proxy of `ds` together with the encoded matrix it was fitted
     /// from (matrix row `i` is the encoding of dataset row `i`) —
-    /// bit-identical to `LogisticRegression::fit(ds, {max_iter: 50})` +
-    /// `encode_dataset`, but base rows are encoded once and the fit itself
-    /// is skipped while `ds` is unchanged.
+    /// `LogisticRegression::fit(ds, {max_iter: 50})` plus its
+    /// `encode_dataset`, skipped while `ds` is unchanged.
     fn proxy_and_matrix(&mut self, ds: &Dataset) -> (&LogisticRegression, &FeatureMatrix) {
         let rows = ds.n_rows();
-        if self.proxy.as_ref().is_none_or(|&(at, _)| at != rows) {
-            let encoded = self.encoded.get_or_insert_with(|| EncodedCache::fit(ds));
-            encoded.sync(ds);
+        if self.proxy.as_ref().is_none_or(|(at, ..)| *at != rows) {
+            let encoder = Encoder::fit(ds);
+            let matrix = encoder.encode_dataset(ds);
             let model = LogisticRegression::fit_encoded(
-                encoded.encoder().clone(),
-                encoded.matrix(),
+                encoder,
+                &matrix,
                 ds.labels(),
                 ds.n_classes(),
                 &LogRegParams { max_iter: 50, ..Default::default() },
             );
-            self.proxy = Some((rows, model));
+            self.proxy = Some((rows, model, matrix));
         }
-        let proxy = &self.proxy.as_ref().expect("just fitted").1;
-        let matrix = self.encoded.as_ref().expect("fitted alongside the proxy").matrix();
+        let (_, proxy, matrix) = self.proxy.as_ref().expect("just fitted");
         (proxy, matrix)
     }
 }

@@ -2,22 +2,17 @@
 //!
 //! Histogram GBDT training (LightGBM's core systems trick) replaces per-node
 //! sorts of raw `f64` columns with scans over small per-feature bin codes.
-//! [`Binner`] fits per-feature quantile bin edges once per dataset; a
+//! [`Binner`] fits per-feature quantile bin edges once per fit, and a
 //! [`BinnedMatrix`] holds every row's codes in one flat row-major buffer of
-//! `u8` (or `u16`, when any feature needs more than 256 bins); and
-//! [`BinnedCache`] keeps the codes incrementally in sync with a growing
-//! dataset, mirroring [`crate::EncodedCache`] for the encoded plane.
+//! `u8` (or `u16`, when any feature needs more than 256 bins).
 //!
 //! The quantization is *exactly consistent* with raw-value split tests: bin
 //! edges double as split thresholds, and for every value `v` and boundary
 //! `b`, `bin(v) <= b` holds iff `v <= edges[b]` — so a tree trained on codes
 //! routes raw rows identically at predict time.
 
-use std::sync::OnceLock;
-
 use crate::column::Column;
 use crate::dataset::Dataset;
-use crate::sync::{CacheCounters, IncrementalCache, Plane};
 use crate::value::{FeatureKind, Value};
 
 /// Rows per parallel block when batch-binning. Block boundaries never affect
@@ -28,19 +23,15 @@ const BIN_BLOCK: usize = 1024;
 #[derive(Debug, Clone, PartialEq)]
 enum FeatBins {
     /// Quantile-edged numeric bins: code = number of edges `< v`, so codes
-    /// `0..=b` are exactly the values `v <= edges[b]`. `reps[b]` is a
-    /// representative value inside bin `b` (used for diagnostics and
-    /// decoding; thresholds come from `edges`).
-    Numeric { edges: Vec<f64>, reps: Vec<f64> },
+    /// `0..=b` are exactly the values `v <= edges[b]`.
+    Numeric { edges: Vec<f64> },
     /// Categorical features are already discrete: code = category index.
     Categorical { cardinality: usize },
 }
 
 /// A fitted per-feature quantile binner. See the [module docs](self).
 ///
-/// Equality compares the fitted edges (and the bin budget), so callers can
-/// detect when a refit on a grown dataset left the binning unchanged —
-/// always, for pure-categorical schemas.
+/// Equality compares the fitted edges and the bin budget.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Binner {
     feats: Vec<FeatBins>,
@@ -95,7 +86,7 @@ impl Binner {
     /// the cardinality for categorical ones; at least 1).
     pub fn n_bins(&self, f: usize) -> usize {
         match &self.feats[f] {
-            FeatBins::Numeric { edges, .. } => edges.len() + 1,
+            FeatBins::Numeric { edges } => edges.len() + 1,
             FeatBins::Categorical { cardinality } => (*cardinality).max(1),
         }
     }
@@ -114,31 +105,8 @@ impl Binner {
     /// Panics if `f` is categorical or `b` is not a boundary (`>= n_bins-1`).
     pub fn threshold(&self, f: usize, b: usize) -> f64 {
         match &self.feats[f] {
-            FeatBins::Numeric { edges, .. } => edges[b],
+            FeatBins::Numeric { edges } => edges[b],
             FeatBins::Categorical { .. } => panic!("categorical feature has no thresholds"),
-        }
-    }
-
-    /// A representative raw value inside numeric bin `b` (for diagnostics /
-    /// decoding; bins without fitted mass reuse their nearest edge).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` is categorical or `b >= n_bins(f)`.
-    pub fn representative(&self, f: usize, b: usize) -> f64 {
-        match &self.feats[f] {
-            FeatBins::Numeric { reps, .. } => reps[b],
-            FeatBins::Categorical { .. } => panic!("categorical feature has no representatives"),
-        }
-    }
-
-    /// The fitted numeric bin edges of feature `f` (`None` for categorical
-    /// features). Edges are sorted; code = number of edges `< v`, so
-    /// `bin(v) <= b ⟺ v <= edges[b]`.
-    pub fn numeric_edges(&self, f: usize) -> Option<&[f64]> {
-        match &self.feats[f] {
-            FeatBins::Numeric { edges, .. } => Some(edges),
-            FeatBins::Categorical { .. } => None,
         }
     }
 
@@ -155,7 +123,7 @@ impl Binner {
     /// histogram range downstream).
     pub fn bin_value(&self, f: usize, v: Value) -> u16 {
         match (&self.feats[f], v) {
-            (FeatBins::Numeric { edges, .. }, Value::Num(x)) => {
+            (FeatBins::Numeric { edges }, Value::Num(x)) => {
                 assert!(!x.is_nan(), "cannot bin NaN: the binned plane holds finite values only");
                 edges.partition_point(|&e| e < x) as u16
             }
@@ -209,26 +177,6 @@ impl Binner {
         };
         BinnedMatrix { rows: codes.len() / width, codes, width }
     }
-
-    /// Appends the codes of `ds`'s rows `matrix.n_rows()..ds.n_rows()` to
-    /// `matrix` — the incremental path for datasets that only grow. Binning
-    /// base rows and then appending the tail is bit-identical to binning the
-    /// concatenated dataset, as long as the edges are unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix width differs from the feature count, or if the
-    /// matrix already has more rows than `ds`.
-    pub fn append(&self, ds: &Dataset, matrix: &mut BinnedMatrix) {
-        assert_eq!(matrix.width(), self.n_features(), "matrix width must equal the feature count");
-        assert!(matrix.n_rows() <= ds.n_rows(), "matrix has more rows than the dataset");
-        let mut buf = Vec::with_capacity(self.n_features());
-        for i in matrix.n_rows()..ds.n_rows() {
-            buf.clear();
-            self.bin_ds_row(ds, i, &mut buf);
-            matrix.push_row(&buf);
-        }
-    }
 }
 
 /// Quantile-edge fit for one numeric column: one bin per distinct value when
@@ -249,23 +197,8 @@ fn fit_numeric(values: &[f64], max_bins: usize) -> FeatBins {
         p.dedup();
         p
     };
-    let edges: Vec<f64> = picked.iter().map(|&i| 0.5 * (sorted[i - 1] + sorted[i])).collect();
-    // Representative per bin: the midpoint of its bounding edges; the outer
-    // bins fall back to the observed extremes (or the lone edge when empty).
-    let reps: Vec<f64> = if edges.is_empty() {
-        vec![sorted.first().copied().unwrap_or(0.0)]
-    } else {
-        let lo = sorted.first().copied().unwrap_or(edges[0]);
-        let hi = sorted.last().copied().unwrap_or(edges[edges.len() - 1]);
-        (0..=edges.len())
-            .map(|b| {
-                let lower = if b == 0 { lo } else { edges[b - 1] };
-                let upper = if b == edges.len() { hi } else { edges[b] };
-                0.5 * (lower + upper)
-            })
-            .collect()
-    };
-    FeatBins::Numeric { edges, reps }
+    let edges = picked.iter().map(|&i| 0.5 * (sorted[i - 1] + sorted[i])).collect();
+    FeatBins::Numeric { edges }
 }
 
 /// Flat row-major bin-code storage: `u8` when every feature fits in 256
@@ -281,13 +214,6 @@ impl Codes {
         match self {
             Codes::U8(v) => v.len(),
             Codes::U16(v) => v.len(),
-        }
-    }
-
-    fn truncate(&mut self, len: usize) {
-        match self {
-            Codes::U8(v) => v.truncate(len),
-            Codes::U16(v) => v.truncate(len),
         }
     }
 }
@@ -354,97 +280,11 @@ impl BinnedMatrix {
             Codes::U16(v) => v[i * self.width + j] as usize,
         }
     }
-
-    /// Appends one row of codes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the arity differs or a code exceeds the storage width.
-    pub fn push_row(&mut self, row: &[u16]) {
-        assert_eq!(row.len(), self.width, "row length must equal the matrix width");
-        match &mut self.codes {
-            Codes::U8(v) => {
-                for &c in row {
-                    assert!(c <= u8::MAX as u16, "code {c} exceeds the u8 storage width");
-                    v.push(c as u8);
-                }
-            }
-            Codes::U16(v) => v.extend_from_slice(row),
-        }
-        self.rows += 1;
-    }
-
-    /// Drops all rows past the first `rows` (no-op when already shorter).
-    pub fn truncate_rows(&mut self, rows: usize) {
-        if rows < self.rows {
-            self.codes.truncate(rows * self.width);
-            self.rows = rows;
-        }
-    }
-}
-
-impl Plane for Binner {
-    type Rows = BinnedMatrix;
-    const FAULT_SITE: &'static str = "data.cache.binned.append";
-
-    fn counters() -> &'static CacheCounters {
-        static COUNTERS: OnceLock<CacheCounters> = OnceLock::new();
-        COUNTERS.get_or_init(|| CacheCounters::new("binned_cache"))
-    }
-
-    fn refit(&self, ds: &Dataset) -> Binner {
-        Binner::fit(ds, self.max_bins)
-    }
-
-    fn build(&self, ds: &Dataset) -> BinnedMatrix {
-        self.bin_dataset(ds)
-    }
-
-    fn append(&self, ds: &Dataset, rows: &mut BinnedMatrix) {
-        Binner::append(self, ds, rows);
-    }
-
-    fn n_rows(rows: &BinnedMatrix) -> usize {
-        rows.n_rows()
-    }
-
-    fn truncate_rows(rows: &mut BinnedMatrix, n: usize) {
-        rows.truncate_rows(n);
-    }
-}
-
-/// An incrementally maintained binned view of a growing dataset: the fitted
-/// [`Binner`] plus the full [`BinnedMatrix`] of codes, kept in sync by
-/// appending only new rows whenever growth leaves the fitted edges unchanged
-/// (always, for pure-categorical schemas) and re-binning otherwise — the
-/// quantized twin of [`crate::EncodedCache`].
-///
-/// Exact by construction (see [`IncrementalCache`]): after
-/// [`IncrementalCache::sync`], `binner()` equals `Binner::fit(ds, max_bins)`
-/// and `codes()` equals `binner().bin_dataset(ds)` bit for bit.
-pub type BinnedCache = IncrementalCache<Binner>;
-
-impl BinnedCache {
-    /// Fits the binner to `ds` and bins every row.
-    pub fn fit(ds: &Dataset, max_bins: usize) -> BinnedCache {
-        IncrementalCache::new(Binner::fit(ds, max_bins), ds)
-    }
-
-    /// The current binner fit.
-    pub fn binner(&self) -> &Binner {
-        &self.fit
-    }
-
-    /// The bin codes, one row per dataset row as of the last sync.
-    pub fn codes(&self) -> &BinnedMatrix {
-        &self.rows
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sync::{RebuildReason, SyncOutcome};
     use crate::Schema;
 
     fn mixed() -> Dataset {
@@ -503,16 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn representatives_sit_inside_their_bins() {
-        let ds = mixed();
-        let binner = Binner::fit(&ds, 4);
-        for b in 0..binner.n_bins(0) {
-            let rep = binner.representative(0, b);
-            assert_eq!(binner.bin_value(0, Value::Num(rep)) as usize, b, "rep {rep} bin {b}");
-        }
-    }
-
-    #[test]
     fn u8_codes_until_a_feature_needs_more() {
         let ds = mixed();
         assert_eq!(Binner::fit(&ds, 64).bin_dataset(&ds).code_width(), 8);
@@ -527,109 +357,6 @@ mod tests {
             m.code(599, 0),
             Binner::fit(&wide, 512).bin_value(0, Value::Num(599.0)) as usize
         );
-    }
-
-    #[test]
-    fn append_equals_binning_the_concatenated_dataset() {
-        // Satellite pin: bin base rows, append synthetic rows -> identical to
-        // binning the concatenated dataset when the edges are unchanged.
-        let base = mixed();
-        let binner = Binner::fit(&base, 8);
-        let mut grown = base.clone();
-        for i in 0..7 {
-            grown.push_row(&[Value::Num((i % 6) as f64), Value::Cat((i + 1) % 3)], 1).unwrap();
-        }
-        assert_eq!(Binner::fit(&grown, 8), binner, "appended values hit existing bins");
-        let mut incremental = binner.bin_dataset(&base);
-        binner.append(&grown, &mut incremental);
-        assert_eq!(incremental, binner.bin_dataset(&grown));
-    }
-
-    #[test]
-    fn cache_incremental_on_categorical_schema() {
-        let schema = Schema::builder("y", vec!["a".into(), "b".into()])
-            .categorical("k", vec!["p".into(), "q".into()])
-            .build();
-        let mut ds = Dataset::new(schema);
-        ds.push_row(&[Value::Cat(0)], 0).unwrap();
-        let mut cache = BinnedCache::fit(&ds, 16);
-        ds.push_row(&[Value::Cat(1)], 1).unwrap();
-        assert_eq!(
-            cache.sync_unfaulted(&ds),
-            SyncOutcome::Appended { rows: 1 },
-            "categorical bins never change: append path"
-        );
-        assert_eq!(cache.codes(), &cache.binner().bin_dataset(&ds));
-    }
-
-    #[test]
-    fn injected_append_fault_degrades_to_rebuild() {
-        let ds0 = mixed();
-        let mut cache = BinnedCache::fit(&ds0, 16);
-        let mut ds = ds0.clone();
-        // Repeat an existing row: edges stay put, so this is normally an
-        // append — the injected fault forces the rebuild detour.
-        let row: Vec<Value> = (0..ds0.n_features()).map(|j| ds0.cell(0, j)).collect();
-        ds.push_row(&row, ds0.labels()[0]).unwrap();
-        frote_faults::test_support::with_spec(Some("data.cache.binned.append:err:1000:2"), || {
-            assert_eq!(cache.sync(&ds), SyncOutcome::Rebuilt(RebuildReason::Injected));
-        });
-        assert_eq!(cache.codes(), &cache.binner().bin_dataset(&ds));
-        ds.push_row(&row, ds0.labels()[0]).unwrap();
-        assert_eq!(cache.sync_unfaulted(&ds), SyncOutcome::Appended { rows: 1 }, "fault cleared");
-    }
-
-    #[test]
-    fn cache_rebins_when_edges_move() {
-        let mut ds = mixed();
-        let mut cache = BinnedCache::fit(&ds, 16);
-        ds.push_row(&[Value::Num(100.0), Value::Cat(0)], 0).unwrap();
-        assert_eq!(
-            cache.sync_unfaulted(&ds),
-            SyncOutcome::Rebuilt(RebuildReason::FitChanged),
-            "new distinct value: edges move, full re-bin"
-        );
-        assert_eq!(cache.binner(), &Binner::fit(&ds, 16));
-        assert_eq!(cache.codes(), &cache.binner().bin_dataset(&ds));
-    }
-
-    #[test]
-    fn cache_truncate_drops_rejected_rows() {
-        let ds = mixed();
-        let mut cache = BinnedCache::fit(&ds, 16);
-        cache.truncate(5);
-        assert_eq!(cache.codes().n_rows(), 5);
-        assert_eq!(
-            cache.sync_unfaulted(&ds),
-            SyncOutcome::Appended { rows: 7 },
-            "unchanged edges survive the stale-fit re-check: append path"
-        );
-        assert_eq!(cache.codes(), &cache.binner().bin_dataset(&ds));
-    }
-
-    #[test]
-    fn truncate_after_rebin_restores_the_original_fit() {
-        // A candidate row moves the bin edges (full re-bin), then is
-        // rejected: truncate must leave the cache able to recover the
-        // original binner on the next sync, even though the row counts
-        // already match.
-        let ds = mixed();
-        let mut cache = BinnedCache::fit(&ds, 16);
-        let mut candidate = ds.clone();
-        candidate.push_row(&[Value::Num(100.0), Value::Cat(0)], 0).unwrap();
-        assert_eq!(
-            cache.sync_unfaulted(&candidate),
-            SyncOutcome::Rebuilt(RebuildReason::FitChanged),
-            "edges moved: full re-bin"
-        );
-        cache.truncate(ds.n_rows());
-        assert_eq!(
-            cache.sync_unfaulted(&ds),
-            SyncOutcome::Rebuilt(RebuildReason::StaleFit),
-            "rollback left edges fitted on dropped rows"
-        );
-        assert_eq!(cache.binner(), &Binner::fit(&ds, 16), "fit restored after rollback");
-        assert_eq!(cache.codes(), &cache.binner().bin_dataset(&ds));
     }
 
     #[test]
@@ -678,25 +405,5 @@ mod tests {
         let ds = mixed();
         let binner = Binner::fit(&ds, 8);
         binner.bin_value(0, Value::Num(f64::NAN));
-    }
-
-    #[test]
-    fn numeric_edges_expose_the_fitted_thresholds() {
-        let ds = mixed();
-        let binner = Binner::fit(&ds, 16);
-        let edges = binner.numeric_edges(0).unwrap();
-        assert_eq!(edges.len(), binner.n_bins(0) - 1);
-        for (b, &e) in edges.iter().enumerate() {
-            assert_eq!(e, binner.threshold(0, b));
-        }
-        assert!(binner.numeric_edges(1).is_none(), "categorical features have no edges");
-    }
-
-    #[test]
-    #[should_panic(expected = "u8 storage width")]
-    fn narrow_matrix_rejects_wide_codes() {
-        let ds = mixed();
-        let mut m = Binner::fit(&ds, 8).bin_dataset(&ds);
-        m.push_row(&[300, 0]);
     }
 }

@@ -7,19 +7,14 @@
 //! columns expand to one-hot blocks.
 //!
 //! Batch encoding is matrix-first: [`Encoder::encode_dataset`] fills a flat
-//! row-major [`FeatureMatrix`] (in parallel across `frote_par::threads()`
-//! threads; cell-for-cell identical to per-row [`Encoder::encode`] at any
-//! thread count), and [`Encoder::encode_append`] extends an existing matrix
-//! with a dataset's trailing rows so growing datasets (FROTE's `D̂`) encode
-//! only what is new. [`EncodedCache`] packages that incremental discipline.
-
-use std::sync::OnceLock;
+//! row-major [`FeatureMatrix`] in parallel across `frote_par::threads()`
+//! threads, cell-for-cell identical to per-row [`Encoder::encode`] at any
+//! thread count.
 
 use crate::column::Column;
 use crate::dataset::Dataset;
 use crate::matrix::FeatureMatrix;
 use crate::stats::NumericStats;
-use crate::sync::{CacheCounters, IncrementalCache, Plane};
 use crate::value::{FeatureKind, Value};
 
 /// Rows per parallel block when batch-encoding. Block boundaries never
@@ -28,9 +23,7 @@ const ENCODE_BLOCK: usize = 512;
 
 /// A fitted feature encoder. See the [module docs](self).
 ///
-/// Equality compares the fitted parameters (means/stds/cardinalities), so
-/// callers can detect when a refit on a grown dataset left the encoding
-/// unchanged (always true for pure-categorical schemas).
+/// Equality compares the fitted parameters (means/stds/cardinalities).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Encoder {
     cols: Vec<ColEncoder>,
@@ -152,85 +145,11 @@ impl Encoder {
         });
         FeatureMatrix::from_raw(self.width, data)
     }
-
-    /// Appends the encodings of `ds`'s rows `matrix.n_rows()..ds.n_rows()`
-    /// to `matrix` — the incremental path for datasets that only grow.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix width differs from the encoder width, or if the
-    /// matrix already has more rows than `ds`.
-    pub fn encode_append(&self, ds: &Dataset, matrix: &mut FeatureMatrix) {
-        assert_eq!(matrix.width(), self.width, "matrix width must equal the encoder width");
-        assert!(matrix.n_rows() <= ds.n_rows(), "matrix has more rows than the dataset");
-        for i in matrix.n_rows()..ds.n_rows() {
-            matrix.push_row_with(|buf| self.encode_ds_row(ds, i, buf));
-        }
-    }
-}
-
-impl Plane for Encoder {
-    type Rows = FeatureMatrix;
-    const FAULT_SITE: &'static str = "data.cache.encoded.append";
-
-    fn counters() -> &'static CacheCounters {
-        static COUNTERS: OnceLock<CacheCounters> = OnceLock::new();
-        COUNTERS.get_or_init(|| CacheCounters::new("encoded_cache"))
-    }
-
-    fn refit(&self, ds: &Dataset) -> Encoder {
-        Encoder::fit(ds)
-    }
-
-    fn build(&self, ds: &Dataset) -> FeatureMatrix {
-        self.encode_dataset(ds)
-    }
-
-    fn append(&self, ds: &Dataset, rows: &mut FeatureMatrix) {
-        self.encode_append(ds, rows);
-    }
-
-    fn n_rows(rows: &FeatureMatrix) -> usize {
-        rows.n_rows()
-    }
-
-    fn truncate_rows(rows: &mut FeatureMatrix, n: usize) {
-        rows.truncate_rows(n);
-    }
-}
-
-/// An incrementally maintained encoded view of a growing dataset: the
-/// encoder fit plus the full [`FeatureMatrix`] of encodings, kept in sync by
-/// appending only new rows whenever growth leaves the fitted parameters
-/// unchanged (always, for pure-categorical schemas such as the paper's Car /
-/// Mushroom / Nursery benchmarks) and re-encoding in place otherwise.
-///
-/// Exact by construction (see [`IncrementalCache`]): after
-/// [`IncrementalCache::sync`], `encoder()` equals `Encoder::fit(ds)` and
-/// `matrix()` equals `encoder().encode_dataset(ds)` bit for bit.
-pub type EncodedCache = IncrementalCache<Encoder>;
-
-impl EncodedCache {
-    /// Fits the encoder to `ds` and encodes every row.
-    pub fn fit(ds: &Dataset) -> EncodedCache {
-        IncrementalCache::new(Encoder::fit(ds), ds)
-    }
-
-    /// The current encoder fit.
-    pub fn encoder(&self) -> &Encoder {
-        &self.fit
-    }
-
-    /// The encoded rows, one per dataset row as of the last sync.
-    pub fn matrix(&self) -> &FeatureMatrix {
-        &self.rows
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sync::{RebuildReason, SyncOutcome};
     use crate::Schema;
 
     fn demo() -> Dataset {
@@ -310,134 +229,6 @@ mod tests {
             let m = frote_par::test_support::with_threads(t, || enc.encode_dataset(&ds));
             assert_eq!(m.as_slice(), per_row.as_slice(), "encode drifted at FROTE_THREADS={t}");
         }
-    }
-
-    #[test]
-    fn encode_append_extends_incrementally() {
-        let mut ds = demo();
-        let enc = Encoder::fit(&ds);
-        let mut m = enc.encode_dataset(&ds);
-        ds.push_row(&[Value::Num(2.0), Value::Cat(1)], 0).unwrap();
-        enc.encode_append(&ds, &mut m);
-        assert_eq!(m.n_rows(), 3);
-        assert_eq!(m.row(2), enc.encode(&ds.row(2)).as_slice());
-    }
-
-    #[test]
-    fn cache_incremental_on_categorical_schema() {
-        let schema = Schema::builder("y", vec!["a".into(), "b".into()])
-            .categorical("k", vec!["p".into(), "q".into()])
-            .build();
-        let mut ds = Dataset::new(schema);
-        ds.push_row(&[Value::Cat(0)], 0).unwrap();
-        let mut cache = EncodedCache::fit(&ds);
-        ds.push_row(&[Value::Cat(1)], 1).unwrap();
-        assert_eq!(
-            cache.sync_unfaulted(&ds),
-            SyncOutcome::Appended { rows: 1 },
-            "one-hot params never change: append path"
-        );
-        assert_eq!(cache.matrix().n_rows(), 2);
-        assert_eq!(cache.matrix(), &cache.encoder().encode_dataset(&ds));
-    }
-
-    #[test]
-    fn injected_append_fault_degrades_to_rebuild() {
-        let schema = Schema::builder("y", vec!["a".into(), "b".into()])
-            .categorical("k", vec!["p".into(), "q".into()])
-            .build();
-        let mut ds = Dataset::new(schema);
-        ds.push_row(&[Value::Cat(0)], 0).unwrap();
-        let mut cache = EncodedCache::fit(&ds);
-        ds.push_row(&[Value::Cat(1)], 1).unwrap();
-        frote_faults::test_support::with_spec(Some("data.cache.encoded.append:err:1000:2"), || {
-            assert_eq!(cache.sync(&ds), SyncOutcome::Rebuilt(RebuildReason::Injected));
-        });
-        assert_eq!(cache.matrix(), &cache.encoder().encode_dataset(&ds));
-        ds.push_row(&[Value::Cat(0)], 0).unwrap();
-        assert_eq!(cache.sync_unfaulted(&ds), SyncOutcome::Appended { rows: 1 }, "fault cleared");
-    }
-
-    #[test]
-    fn cache_refits_when_numeric_stats_move() {
-        let mut ds = demo();
-        let mut cache = EncodedCache::fit(&ds);
-        ds.push_row(&[Value::Num(100.0), Value::Cat(0)], 0).unwrap();
-        assert_eq!(
-            cache.sync_unfaulted(&ds),
-            SyncOutcome::Rebuilt(RebuildReason::FitChanged),
-            "mean/std moved: full re-encode"
-        );
-        assert_eq!(cache.encoder(), &Encoder::fit(&ds));
-        assert_eq!(cache.matrix(), &cache.encoder().encode_dataset(&ds));
-    }
-
-    #[test]
-    fn cache_truncate_drops_rejected_rows() {
-        let schema = Schema::builder("y", vec!["a".into(), "b".into()])
-            .categorical("k", vec!["p".into(), "q".into()])
-            .build();
-        let mut ds = Dataset::new(schema);
-        ds.push_row(&[Value::Cat(0)], 0).unwrap();
-        ds.push_row(&[Value::Cat(1)], 1).unwrap();
-        let mut cache = EncodedCache::fit(&ds);
-        cache.truncate(1);
-        assert_eq!(cache.matrix().n_rows(), 1);
-        assert_eq!(
-            cache.sync_unfaulted(&ds),
-            SyncOutcome::Appended { rows: 1 },
-            "categorical fit survives the stale-fit re-check: append path"
-        );
-        assert_eq!(cache.matrix(), &cache.encoder().encode_dataset(&ds));
-    }
-
-    #[test]
-    fn truncate_after_refit_restores_the_original_fit() {
-        // A candidate row moves the numeric stats (full re-encode), then is
-        // rejected: truncate must leave the cache able to recover the
-        // original encoder on the next sync, even though the row counts
-        // already match.
-        let ds = demo();
-        let mut cache = EncodedCache::fit(&ds);
-        let mut candidate = ds.clone();
-        candidate.push_row(&[Value::Num(100.0), Value::Cat(1)], 0).unwrap();
-        assert_eq!(
-            cache.sync_unfaulted(&candidate),
-            SyncOutcome::Rebuilt(RebuildReason::FitChanged),
-            "stats moved: full re-encode"
-        );
-        cache.truncate(ds.n_rows());
-        assert_eq!(
-            cache.sync_unfaulted(&ds),
-            SyncOutcome::Rebuilt(RebuildReason::StaleFit),
-            "rollback left a fit computed on dropped rows"
-        );
-        assert_eq!(cache.encoder(), &Encoder::fit(&ds), "fit restored after rollback");
-        assert_eq!(cache.matrix(), &cache.encoder().encode_dataset(&ds));
-    }
-
-    #[test]
-    fn sync_on_unchanged_dataset_is_a_noop() {
-        let ds = demo();
-        let mut cache = EncodedCache::fit(&ds);
-        assert_eq!(cache.sync_unfaulted(&ds), SyncOutcome::Unchanged);
-    }
-
-    #[test]
-    fn stale_recheck_without_growth_appends_zero_rows() {
-        // Rolling back to a prefix of a categorical dataset leaves the fit
-        // valid: the forced re-check confirms it without appending anything.
-        let schema = Schema::builder("y", vec!["a".into(), "b".into()])
-            .categorical("k", vec!["p".into(), "q".into()])
-            .build();
-        let mut prefix = Dataset::new(schema);
-        prefix.push_row(&[Value::Cat(0)], 0).unwrap();
-        let mut grown = prefix.clone();
-        grown.push_row(&[Value::Cat(1)], 1).unwrap();
-        let mut cache = EncodedCache::fit(&grown);
-        cache.truncate(prefix.n_rows());
-        assert_eq!(cache.sync_unfaulted(&prefix), SyncOutcome::Appended { rows: 0 });
-        assert_eq!(cache.matrix(), &cache.encoder().encode_dataset(&prefix));
     }
 
     #[test]

@@ -13,12 +13,9 @@
 //! - [`FeatureMatrix`] — the flat row-major encoded data plane shared by the
 //!   batch scoring and nearest-neighbour paths,
 //! - [`encode`] — one-hot + standardization encoding into [`FeatureMatrix`]
-//!   for linear models and distance computations (incrementally appendable
-//!   via [`EncodedCache`]),
+//!   for linear models and distance computations,
 //! - [`binned`] — quantized per-feature bin codes ([`Binner`] /
-//!   [`BinnedMatrix`] / [`BinnedCache`]) for histogram GBDT training,
-//! - [`sync`] — the append-or-rebuild policy both incremental caches share
-//!   ([`IncrementalCache`] over a fitted [`sync::Plane`]),
+//!   [`BinnedMatrix`]) for histogram GBDT training,
 //! - [`split`] — deterministic train/test splitting utilities,
 //! - [`csv`] — a small typed CSV reader/writer,
 //! - [`synth`] — schema-matched synthetic generators for the eight UCI
@@ -53,16 +50,14 @@ mod matrix;
 mod schema;
 pub mod split;
 pub mod stats;
-pub mod sync;
 pub mod synth;
 mod value;
 
-pub use binned::{BinnedCache, BinnedMatrix, Binner};
+pub use binned::{BinnedMatrix, Binner};
 pub use column::Column;
 pub use dataset::Dataset;
-pub use encode::{EncodedCache, Encoder};
+pub use encode::Encoder;
 pub use error::DataError;
 pub use matrix::FeatureMatrix;
 pub use schema::{FeatureMeta, Schema, SchemaBuilder};
-pub use sync::{IncrementalCache, RebuildReason, SyncOutcome};
 pub use value::{FeatureKind, Value};

@@ -3,8 +3,7 @@
 //! The encoded data plane of the workspace: one contiguous `Vec<f64>` with a
 //! fixed row stride, so batch scoring walks cache lines instead of chasing a
 //! pointer per row (the `Vec<Vec<f64>>` layout it replaces). Rows are read as
-//! borrowed `&[f64]` views and appended either whole ([`FeatureMatrix::push_row`])
-//! or written in place ([`FeatureMatrix::push_row_with`]).
+//! borrowed `&[f64]` views and appended whole ([`FeatureMatrix::push_row`]).
 
 use std::ops::Index;
 
@@ -140,24 +139,6 @@ impl FeatureMatrix {
         self.rows += 1;
     }
 
-    /// Appends one row written in place: `fill` receives the backing buffer
-    /// and must extend it by exactly `width()` values. This lets encoders
-    /// stream cells into the matrix without a bounce buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fill` grows the buffer by anything other than `width()`.
-    pub fn push_row_with(&mut self, fill: impl FnOnce(&mut Vec<f64>)) {
-        let before = self.data.len();
-        fill(&mut self.data);
-        assert_eq!(
-            self.data.len() - before,
-            self.width,
-            "push_row_with must append exactly width() values"
-        );
-        self.rows += 1;
-    }
-
     /// Appends every row of `other`.
     ///
     /// # Panics
@@ -167,14 +148,6 @@ impl FeatureMatrix {
         assert_eq!(self.width, other.width, "matrix widths must match");
         self.data.extend_from_slice(&other.data);
         self.rows += other.rows;
-    }
-
-    /// Drops all rows past the first `rows` (no-op when already shorter).
-    pub fn truncate_rows(&mut self, rows: usize) {
-        if rows < self.rows {
-            self.data.truncate(rows * self.width);
-            self.rows = rows;
-        }
     }
 
     /// Clears all rows, keeping the allocation and width.
@@ -228,30 +201,12 @@ mod tests {
     }
 
     #[test]
-    fn push_row_with_streams_cells() {
-        let mut m = FeatureMatrix::new(2);
-        m.push_row_with(|buf| buf.extend_from_slice(&[7.0, 8.0]));
-        assert_eq!(m.row(0), &[7.0, 8.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "exactly width()")]
-    fn push_row_with_wrong_arity_panics() {
-        let mut m = FeatureMatrix::new(2);
-        m.push_row_with(|buf| buf.push(1.0));
-    }
-
-    #[test]
-    fn extend_truncate_clear() {
+    fn extend_and_clear() {
         let mut a = FeatureMatrix::from_rows(vec![vec![1.0], vec![2.0]]);
         let b = FeatureMatrix::from_rows(vec![vec![3.0]]);
         a.extend_from(&b);
         assert_eq!(a.n_rows(), 3);
-        a.truncate_rows(5); // no-op
-        assert_eq!(a.n_rows(), 3);
-        a.truncate_rows(1);
-        assert_eq!(a.n_rows(), 1);
-        assert_eq!(a.row(0), &[1.0]);
+        assert_eq!(a.row(2), &[3.0]);
         a.clear();
         assert!(a.is_empty());
         assert_eq!(a.width(), 1);

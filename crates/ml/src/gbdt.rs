@@ -11,12 +11,12 @@
 //! once per fit and orders every node's rows by a stable counting sort on
 //! those ranks (the `rank` module).
 
-use frote_data::{BinnedCache, BinnedMatrix, Binner, Column, Dataset, FeatureMatrix, Value};
+use frote_data::{Binner, Column, Dataset, FeatureMatrix, Value};
 
 use crate::histogram::{HistContext, SplitMode};
 use crate::kernels;
 use crate::rank::RankTable;
-use crate::traits::{argmax, Classifier, TrainAlgorithm, TrainCache, PREDICT_BLOCK};
+use crate::traits::{argmax, Classifier, TrainAlgorithm, PREDICT_BLOCK};
 use crate::tree::{categorical, partition_in_place, SplitTest};
 
 /// GBDT hyper-parameters.
@@ -310,34 +310,13 @@ impl Gbdt {
     ///
     /// Panics if `ds` is empty.
     pub fn fit(ds: &Dataset, params: &GbdtParams) -> Self {
-        match params.split_mode.max_bins() {
-            None => Self::fit_impl(ds, params, None),
-            Some(max_bins) => {
-                let binned = BinnedCache::fit(ds, max_bins);
-                Self::fit_impl(ds, params, Some((binned.binner(), binned.codes())))
-            }
-        }
-    }
-
-    /// [`Gbdt::fit`] with the binning reused from a caller-held
-    /// [`TrainCache`] (FROTE's retrain loop bins only the appended rows).
-    pub fn fit_cached(ds: &Dataset, params: &GbdtParams, cache: &mut TrainCache) -> Self {
-        match params.split_mode.max_bins() {
-            None => Self::fit_impl(ds, params, None),
-            Some(max_bins) => {
-                let binned = cache.binned(ds, max_bins);
-                Self::fit_impl(ds, params, Some((binned.binner(), binned.codes())))
-            }
-        }
-    }
-
-    fn fit_impl(
-        ds: &Dataset,
-        params: &GbdtParams,
-        binned: Option<(&Binner, &BinnedMatrix)>,
-    ) -> Self {
         assert!(!ds.is_empty(), "cannot train on an empty dataset");
-        let ctx = binned.map(|(binner, codes)| HistContext::new(binner, codes));
+        let binned = params.split_mode.max_bins().map(|max_bins| {
+            let binner = Binner::fit(ds, max_bins);
+            let codes = binner.bin_dataset(ds);
+            (binner, codes)
+        });
+        let ctx = binned.as_ref().map(|(binner, codes)| HistContext::new(binner, codes));
         // Exact fits rank every numeric column once; all the fit's trees
         // share the table.
         let ranks = ctx.is_none().then(|| RankTable::new(ds));
@@ -502,10 +481,6 @@ impl TrainAlgorithm for GbdtTrainer {
         Box::new(Gbdt::fit(ds, &self.params))
     }
 
-    fn train_cached(&self, ds: &Dataset, cache: &mut TrainCache) -> Box<dyn Classifier> {
-        Box::new(Gbdt::fit_cached(ds, &self.params, cache))
-    }
-
     fn name(&self) -> &str {
         "LGBM"
     }
@@ -589,18 +564,6 @@ mod tests {
                 kind.name()
             );
         }
-    }
-
-    #[test]
-    fn histogram_mode_cached_matches_fresh() {
-        let ds =
-            DatasetKind::WineQuality.generate(&SynthConfig { n_rows: 300, ..Default::default() });
-        let params =
-            GbdtParams { n_rounds: 5, split_mode: SplitMode::histogram(), ..Default::default() };
-        let mut cache = crate::traits::TrainCache::new();
-        let cached = Gbdt::fit_cached(&ds, &params, &mut cache);
-        let fresh = Gbdt::fit(&ds, &params);
-        assert_eq!(cached.predict_dataset(&ds), fresh.predict_dataset(&ds));
     }
 
     /// The per-node comparison-sort search the rank table replaced, kept

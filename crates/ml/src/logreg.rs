@@ -43,7 +43,7 @@ use frote_data::{Dataset, FeatureMatrix, Value};
 use frote_obs::Counter;
 
 use crate::kernels;
-use crate::traits::{argmax, Classifier, TrainAlgorithm, TrainCache, PREDICT_BLOCK};
+use crate::traits::{argmax, Classifier, TrainAlgorithm, PREDICT_BLOCK};
 
 /// Rows per parallel block of the full-batch gradient pass. The per-block
 /// partial gradients are reduced in block order, so the block size — never
@@ -102,9 +102,10 @@ impl LogisticRegression {
         Self::fit_encoded(encoder, &x, ds.labels(), ds.n_classes(), params)
     }
 
-    /// Fits from a pre-encoded matrix (the FROTE loop's incremental cache
-    /// path). `encoder` must be the fit that produced `x`; given that, the
-    /// result is bit-identical to [`LogisticRegression::fit`].
+    /// Fits from a pre-encoded matrix, for callers that also read the
+    /// matrix (the selection proxy scores its rows). `encoder` must be the
+    /// fit that produced `x`; given that, the result is bit-identical to
+    /// [`LogisticRegression::fit`].
     ///
     /// # Panics
     ///
@@ -375,23 +376,6 @@ impl TrainAlgorithm for LogisticRegressionTrainer {
         Box::new(LogisticRegression::fit(ds, &self.params))
     }
 
-    /// Retrains off the loop's [`TrainCache`]: base rows are encoded once
-    /// into the cache's [`frote_data::EncodedCache`] and only appended rows
-    /// are encoded per iteration (a moved numeric fit re-encodes, keeping
-    /// the cache exact by construction) — bit-identical to
-    /// [`LogisticRegressionTrainer::train`] either way.
-    fn train_cached(&self, ds: &Dataset, cache: &mut TrainCache) -> Box<dyn Classifier> {
-        assert!(!ds.is_empty(), "cannot train on an empty dataset");
-        let encoded = cache.encoded(ds);
-        Box::new(LogisticRegression::fit_encoded(
-            encoded.encoder().clone(),
-            encoded.matrix(),
-            ds.labels(),
-            ds.n_classes(),
-            &self.params,
-        ))
-    }
-
     fn name(&self) -> &str {
         "LR"
     }
@@ -471,47 +455,6 @@ mod tests {
     #[test]
     fn name_matches_paper() {
         assert_eq!(LogisticRegressionTrainer::default().name(), "LR");
-    }
-
-    #[test]
-    fn cached_training_matches_uncached_across_appends() {
-        use crate::traits::TrainCache;
-        let mut ds = separable();
-        let trainer = LogisticRegressionTrainer::default();
-        let mut cache = TrainCache::new();
-        for round in 0..3 {
-            let cached = trainer.train_cached(&ds, &mut cache);
-            let fresh = trainer.train(&ds);
-            assert_eq!(cached.predict_dataset(&ds), fresh.predict_dataset(&ds), "round {round}");
-            // Probabilities must match bit for bit, not just argmax.
-            for i in (0..ds.n_rows()).step_by(37) {
-                let (a, b) = (cached.predict_proba(&ds.row(i)), fresh.predict_proba(&ds.row(i)));
-                let same = a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits());
-                assert!(same, "round {round} row {i}: {a:?} vs {b:?}");
-            }
-            // Grow the dataset: numeric stats move, so the cache re-encodes.
-            for i in 0..15 {
-                ds.push_row(&[Value::Num(20.0 + i as f64), Value::Num(i as f64)], i % 2).unwrap();
-            }
-        }
-    }
-
-    #[test]
-    fn cached_training_rolls_back_rejected_rows() {
-        use crate::traits::TrainCache;
-        let ds = separable();
-        let trainer = LogisticRegressionTrainer::default();
-        let mut cache = TrainCache::new();
-        let _ = trainer.train_cached(&ds, &mut cache);
-        // Candidate rows appear, get encoded, then are rejected (the FROTE
-        // loop trains on a clone and truncates the cache on rejection).
-        let mut candidate = ds.clone();
-        candidate.push_row(&[Value::Num(50.0), Value::Num(50.0)], 1).unwrap();
-        let _ = trainer.train_cached(&candidate, &mut cache);
-        cache.truncate(ds.n_rows());
-        let cached = trainer.train_cached(&ds, &mut cache);
-        let fresh = trainer.train(&ds);
-        assert_eq!(cached.predict_dataset(&ds), fresh.predict_dataset(&ds));
     }
 
     /// The dense fit as it was before the sparse tail index, verbatim

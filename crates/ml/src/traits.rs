@@ -7,7 +7,7 @@
 //! buffers, in parallel across `frote_par::threads()` threads. Results are
 //! bit-identical to a serial per-row loop at any thread count.
 
-use frote_data::{BinnedCache, Dataset, EncodedCache, Value};
+use frote_data::{Dataset, Value};
 
 /// Rows per parallel block when batch-predicting. Boundaries only affect the
 /// schedule, never the result.
@@ -74,63 +74,10 @@ pub trait Classifier: Send + Sync {
     }
 }
 
-/// Reusable training state shared across repeated [`TrainAlgorithm`] calls
-/// on an append-only dataset — FROTE's retrain loop hands each run one of
-/// these so histogram-mode GBDT trainers bin the base rows once and only
-/// bin what each iteration appends, and the logistic-regression trainer
-/// likewise encodes base rows once and scores straight off the cached
-/// [`frote_data::EncodedCache`] matrix. Exact-mode tree trainers ignore it.
+/// The argument of [`TrainAlgorithm::train_cached`]. It holds nothing:
+/// every fit encodes or bins its dataset from scratch.
 #[derive(Debug, Default)]
-pub struct TrainCache {
-    binned: Option<BinnedCache>,
-    encoded: Option<EncodedCache>,
-}
-
-impl TrainCache {
-    /// An empty cache (nothing binned or encoded yet).
-    pub fn new() -> Self {
-        TrainCache::default()
-    }
-
-    /// The binned view of `ds` at the given bin budget — fitted on first
-    /// use, then kept in sync incrementally (appended rows are binned;
-    /// a changed fit or a different budget re-bins from scratch).
-    pub fn binned(&mut self, ds: &Dataset, max_bins: usize) -> &BinnedCache {
-        let reusable = self.binned.as_ref().is_some_and(|c| c.binner().max_bins() == max_bins);
-        if reusable {
-            self.binned.as_mut().expect("checked above").sync(ds);
-        } else {
-            self.binned = Some(BinnedCache::fit(ds, max_bins));
-        }
-        self.binned.as_ref().expect("just filled")
-    }
-
-    /// The encoded view of `ds` — fitted on first use, then kept in sync
-    /// incrementally (appended rows are encoded; a moved encoder fit
-    /// re-encodes from scratch). Exact by construction: after this call,
-    /// `encoder()` equals `Encoder::fit(ds)` and `matrix()` equals a fresh
-    /// `encode_dataset(ds)` bit for bit.
-    pub fn encoded(&mut self, ds: &Dataset) -> &EncodedCache {
-        match &mut self.encoded {
-            Some(cache) => {
-                cache.sync(ds);
-            }
-            slot @ None => *slot = Some(EncodedCache::fit(ds)),
-        }
-        self.encoded.as_ref().expect("just filled")
-    }
-
-    /// Drops cached rows past the first `rows` (a rejected candidate batch
-    /// is un-binned and un-encoded without touching the surviving prefix).
-    pub fn truncate(&mut self, rows: usize) {
-        if let Some(c) = &mut self.binned {
-            c.truncate(rows);
-        }
-        if let Some(c) = &mut self.encoded {
-            c.truncate(rows);
-        }
-    }
-}
+pub struct TrainCache;
 
 /// A training algorithm: dataset in, classifier out (paper §3.2 treats it as
 /// a black box, possibly proprietary).
@@ -143,10 +90,8 @@ pub trait TrainAlgorithm: Send + Sync {
     /// empty `D̂` by construction.
     fn train(&self, ds: &Dataset) -> Box<dyn Classifier>;
 
-    /// Trains on `ds`, reusing `cache` across calls on the same append-only
-    /// dataset. The default ignores the cache and defers to
-    /// [`TrainAlgorithm::train`]; the GBDT and LR trainers override it.
-    /// Results are bit-identical to `train` either way.
+    /// Trains on `ds`. Defers to [`TrainAlgorithm::train`]; no trainer in
+    /// the workspace overrides it.
     fn train_cached(&self, ds: &Dataset, cache: &mut TrainCache) -> Box<dyn Classifier> {
         let _ = cache;
         self.train(ds)

@@ -593,7 +593,7 @@ mod tests {
     fn cached_training_matches_uncached_across_appends() {
         let mut ds = xor_ds();
         let trainer = DecisionTreeTrainer::new(TreeParams::default(), 0);
-        let mut cache = TrainCache::new();
+        let mut cache = TrainCache;
         for round in 0..3 {
             let cached = trainer.train_cached(&ds, &mut cache);
             let fresh = trainer.train(&ds);

@@ -23,17 +23,13 @@
 //! interpreter's mid-scan kind-mismatch panics for parsed/expert rules.
 //!
 //! [`RuleMaskCache`] keeps per-rule masks incrementally in sync with the
-//! FROTE loop's append-only active dataset, with the same append/truncate
-//! semantics as `frote_data::EncodedCache`/`BinnedCache`: new rows append
-//! mask bits, candidate rejection truncates them. Unlike the binned cache
-//! there is no fitted state — plans depend only on the schema — so
-//! truncation is exact and needs no stale-fit flag.
+//! FROTE loop's append-only active dataset: new rows append mask bits,
+//! candidate rejection truncates them. Plans depend only on the schema,
+//! never on the rows, so truncation is exact.
 
 use std::ops::Range;
-use std::sync::OnceLock;
 
-use frote_data::sync::CacheCounters;
-use frote_data::{Dataset, FeatureKind, Schema, SyncOutcome, Value};
+use frote_data::{Dataset, FeatureKind, Schema, Value};
 use frote_obs::Counter;
 
 use crate::clause::Clause;
@@ -50,10 +46,16 @@ const PAR_SCAN_MIN: usize = 4096;
 static CLAUSES_COMPILED: Counter = Counter::new("rule_engine.clauses_compiled");
 static EVAL_RAW: Counter = Counter::new("rule_engine.eval_raw");
 
-fn mask_cache_counters() -> &'static CacheCounters {
-    static COUNTERS: OnceLock<CacheCounters> = OnceLock::new();
-    COUNTERS.get_or_init(|| CacheCounters::new("rule_mask_cache"))
-}
+// Mask-cache metrics, one per `MaskSync` path plus row and truncate
+// totals. All thread-invariant: sync decisions depend only on the rows.
+static SYNC_NOOP: Counter = Counter::new("rule_mask_cache.sync.noop");
+static SYNC_APPEND: Counter = Counter::new("rule_mask_cache.sync.append");
+static SYNC_REBUILD: Counter = Counter::new("rule_mask_cache.sync.rebuild");
+static SYNC_FIRST_FIT: Counter = Counter::new("rule_mask_cache.sync.rebuild.first_fit");
+static SYNC_INJECTED: Counter = Counter::new("rule_mask_cache.sync.rebuild.injected");
+static APPENDED_ROWS: Counter = Counter::new("rule_mask_cache.appended_rows");
+static TRUNCATES: Counter = Counter::new("rule_mask_cache.truncates");
+static TRUNCATED_ROWS: Counter = Counter::new("rule_mask_cache.truncated_rows");
 
 /// Rows per parallel block. A multiple of 64 so every block starts on a
 /// `u64` word boundary and the per-block word vectors concatenate into the
@@ -477,18 +479,34 @@ fn attribute(masks: &[RowMask], rows: usize) -> Vec<Vec<usize>> {
         .collect()
 }
 
+/// How [`RuleMaskCache::sync`] brought the masks up to date.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MaskSync {
+    /// No new rows: nothing was evaluated.
+    Unchanged,
+    /// Only the new rows were evaluated and appended.
+    Appended {
+        /// Number of rows appended.
+        rows: usize,
+    },
+    /// The first sync evaluated every row.
+    FirstFit,
+    /// An injected fault at `rules.mask.append` (see `frote-faults`) made
+    /// the sync re-evaluate every row instead of appending. The masks are
+    /// the same; only the cost changes.
+    Injected,
+}
+
 /// Per-rule coverage masks kept incrementally in sync with the FROTE
-/// loop's append-only active dataset — the rule plane's analogue of
-/// `frote_data::EncodedCache`/`BinnedCache`:
+/// loop's append-only active dataset:
 ///
 /// - [`RuleMaskCache::sync`] appends mask bits for rows past the last
 ///   sync (the first sync evaluates the whole dataset with the blocked
 ///   parallel sweep);
 /// - [`RuleMaskCache::truncate`] rolls rejected candidate rows back.
 ///
-/// Plans depend only on the schema — never on the rows — so unlike the
-/// binned cache a truncation is exact and no stale-fit re-check exists.
-/// Must only be reused across calls that pass the *same* rule set and the
+/// Plans depend only on the schema — never on the rows — so a truncation
+/// is exact. Must only be reused across calls that pass the *same* rule set and the
 /// same append-only dataset; hand each FROTE run its own cache.
 #[derive(Debug, Clone)]
 pub struct RuleMaskCache {
@@ -512,42 +530,41 @@ impl RuleMaskCache {
 
     /// Brings the masks in sync with `ds`, whose leading `rows()` rows
     /// must be unchanged since the last sync. The first sync evaluates
-    /// every row in parallel ([`SyncOutcome::Rebuilt`] with
-    /// [`RebuildReason::FirstFit`](frote_data::RebuildReason::FirstFit));
-    /// later syncs append only the new tail. There is no fit to go stale,
-    /// so those are the only slow-path variants.
+    /// every row in parallel; later syncs append only the new tail. Each
+    /// outcome is counted under `rule_mask_cache.sync.*`.
     ///
     /// # Panics
     ///
     /// Panics if `ds` has fewer rows than already synced (truncate first).
-    pub fn sync(&mut self, ds: &Dataset) -> SyncOutcome {
-        let outcome = self.sync_inner(ds);
-        mask_cache_counters().record_sync(&outcome);
-        outcome
-    }
-
-    fn sync_inner(&mut self, ds: &Dataset) -> SyncOutcome {
+    pub fn sync(&mut self, ds: &Dataset) -> MaskSync {
         let n = ds.n_rows();
         assert!(n >= self.rows, "dataset shrank below the synced rows; call truncate instead");
         if n == self.rows {
-            return SyncOutcome::Unchanged;
+            SYNC_NOOP.inc();
+            return MaskSync::Unchanged;
         }
         let outcome = if self.rows == 0 {
             self.masks = self.compiled.rule_masks(ds);
-            SyncOutcome::Rebuilt(frote_data::RebuildReason::FirstFit)
+            SYNC_REBUILD.inc();
+            SYNC_FIRST_FIT.inc();
+            MaskSync::FirstFit
         } else if frote_faults::point("rules.mask.append").is_err() {
             // An injected fault poisoned the append fast path: degrade to a
             // full re-evaluation — bit-identical masks, only the cost
             // changes.
             self.masks = self.compiled.rule_masks(ds);
-            SyncOutcome::Rebuilt(frote_data::RebuildReason::Injected)
+            SYNC_REBUILD.inc();
+            SYNC_INJECTED.inc();
+            MaskSync::Injected
         } else {
             for (clause, mask) in self.compiled.clauses.iter().zip(&mut self.masks) {
                 for i in self.rows..n {
                     mask.push(clause.holds_row(ds, i));
                 }
             }
-            SyncOutcome::Appended { rows: n - self.rows }
+            SYNC_APPEND.inc();
+            APPENDED_ROWS.add((n - self.rows) as u64);
+            MaskSync::Appended { rows: n - self.rows }
         };
         self.rows = n;
         outcome
@@ -557,7 +574,8 @@ impl RuleMaskCache {
     /// batch). Exact — surviving bits stay valid verbatim.
     pub fn truncate(&mut self, rows: usize) {
         if rows < self.rows {
-            mask_cache_counters().record_truncate(self.rows - rows);
+            TRUNCATES.inc();
+            TRUNCATED_ROWS.add((self.rows - rows) as u64);
             for mask in &mut self.masks {
                 mask.truncate(rows);
             }
@@ -601,7 +619,7 @@ impl RuleMaskCache {
     /// unlocked sync in a concurrent test could take another test's
     /// injected fault.
     #[cfg(test)]
-    fn sync_unfaulted(&mut self, ds: &Dataset) -> SyncOutcome {
+    fn sync_unfaulted(&mut self, ds: &Dataset) -> MaskSync {
         frote_faults::test_support::with_spec(None, || self.sync(ds))
     }
 }
@@ -760,7 +778,7 @@ mod tests {
         let mut d = ds();
         assert_eq!(
             cache.sync_unfaulted(&d),
-            SyncOutcome::Rebuilt(frote_data::RebuildReason::FirstFit),
+            MaskSync::FirstFit,
             "first sync evaluates the whole dataset"
         );
         assert_eq!(cache.rows(), d.n_rows());
@@ -771,7 +789,7 @@ mod tests {
         for i in 0..5 {
             d.push_row(&[Value::Num(f64::from(i)), Value::Cat(0)], 1).unwrap();
         }
-        assert_eq!(cache.sync_unfaulted(&d), SyncOutcome::Appended { rows: 5 });
+        assert_eq!(cache.sync_unfaulted(&d), MaskSync::Appended { rows: 5 });
         assert_eq!(cache.masks(), fresh.rule_masks(&d).as_slice());
         assert_eq!(cache.coverage(), fresh.coverage(&d));
         assert_eq!(cache.outside_coverage(), fresh.outside_coverage(&d));
@@ -782,7 +800,7 @@ mod tests {
         cache.truncate(base.n_rows());
         assert_eq!(
             cache.sync_unfaulted(&base),
-            SyncOutcome::Unchanged,
+            MaskSync::Unchanged,
             "exact rollback: nothing to redo"
         );
         assert_eq!(cache.masks(), fresh.rule_masks(&base).as_slice());
@@ -798,14 +816,14 @@ mod tests {
         frote_faults::test_support::with_spec(Some("rules.mask.append:err:1000:3"), || {
             assert_eq!(
                 cache.sync(&d),
-                SyncOutcome::Rebuilt(frote_data::RebuildReason::Injected),
+                MaskSync::Injected,
                 "a poisoned append degrades to a full re-evaluation"
             );
         });
         let fresh = CompiledRuleSet::compile(&f, &schema()).unwrap();
         assert_eq!(cache.masks(), fresh.rule_masks(&d).as_slice(), "bit-identical degradation");
         d.push_row(&[Value::Num(2.0), Value::Cat(0)], 1).unwrap();
-        assert_eq!(cache.sync_unfaulted(&d), SyncOutcome::Appended { rows: 1 }, "fault cleared");
+        assert_eq!(cache.sync_unfaulted(&d), MaskSync::Appended { rows: 1 }, "fault cleared");
     }
 
     #[test]

@@ -51,7 +51,7 @@ mod ruleset;
 
 pub use clause::Clause;
 pub use dist::LabelDist;
-pub use engine::{CompiledClause, CompiledRuleSet, RowMask, RuleMaskCache};
+pub use engine::{CompiledClause, CompiledRuleSet, MaskSync, RowMask, RuleMaskCache};
 pub use error::RuleError;
 pub use predicate::{Op, Predicate};
 pub use rule::FeedbackRule;

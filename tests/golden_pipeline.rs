@@ -67,11 +67,9 @@ fn run_online() -> u64 {
 }
 
 /// The numeric WineQuality online-proxy scenario retrained by histogram
-/// GBDT at a coarse 16-bin budget: every retrain goes through
-/// `GbdtTrainer::train_cached`, so the loop's binned cache appends the
-/// accepted rows, truncates the rejected ones and rebins when the edges
-/// move. Quantization genuinely differs from the exact search here, so the
-/// run carries its own golden.
+/// GBDT at a coarse 16-bin budget: every retrain bins its `D̂` afresh.
+/// Quantization genuinely differs from the exact search here, so the run
+/// carries its own golden.
 fn run_hist_gbdt() -> u64 {
     use frote_ml::gbdt::{GbdtParams, GbdtTrainer};
     let ds = DatasetKind::WineQuality.generate(&SynthConfig { n_rows: 250, ..Default::default() });

@@ -6,7 +6,7 @@
 //!    committed values at 1, 2, and 4 worker threads** — they count work
 //!    the determinism contract pins, not how the schedule happened to
 //!    distribute it, so a moved count is a behaviour change. The pins cover
-//!    the `frote.*`, `*_cache.*`, `hist.*`, `rule_engine.*`, `lr.*`,
+//!    the `frote.*`, `rule_mask_cache.*`, `hist.*`, `rule_engine.*`, `lr.*`,
 //!    `select.memo_*` and `serve.*` families. `thread_variant` metrics
 //!    (`par.*`, batch counts, latency histograms) are exempt by their tag.
 //!
@@ -56,8 +56,8 @@ fn run_random() -> u64 {
 
 /// The histogram-GBDT scenario of `tests/golden_pipeline.rs`, verbatim —
 /// online-proxy selection plus quantized GBDT retrains, so the run drives
-/// the encoded, binned and rule-mask caches and the histogram plane,
-/// sibling subtraction included.
+/// the LR proxy, the rule-mask cache and the histogram plane, sibling
+/// subtraction included.
 fn run_hist_gbdt() -> u64 {
     use frote_ml::gbdt::{GbdtParams, GbdtTrainer};
     let ds = DatasetKind::WineQuality.generate(&SynthConfig { n_rows: 250, ..Default::default() });
@@ -169,14 +169,6 @@ const IP_PINS: &[(&str, u64)] = &[
 /// The nonzero invariant metrics of [`run_random`] and [`run_hist_gbdt`],
 /// run in that order.
 const PIPELINE_PINS: &[(&str, u64)] = &[
-    ("binned_cache.sync.rebuild", 3),
-    ("binned_cache.sync.rebuild.fit_changed", 2),
-    ("binned_cache.sync.rebuild.stale_fit", 1),
-    ("binned_cache.truncated_rows", 24),
-    ("binned_cache.truncates", 2),
-    ("encoded_cache.sync.noop", 1),
-    ("encoded_cache.sync.rebuild", 1),
-    ("encoded_cache.sync.rebuild.fit_changed", 1),
     ("frote.accepted", 3),
     ("frote.iterations", 7),
     ("frote.rejected", 4),

@@ -69,7 +69,7 @@ proptest! {
     }
 
     /// The matrix batch encoder agrees cell-for-cell with per-row encoding,
-    /// at 1 and 4 threads, and appending encodes exactly the tail rows.
+    /// at 1 and 4 threads.
     #[test]
     fn encode_dataset_matches_per_row(ds in arb_dataset()) {
         let enc = Encoder::fit(&ds);
@@ -82,21 +82,12 @@ proptest! {
                 prop_assert_eq!(m.row(i), per_row.as_slice(), "row {} at {} threads", i, t);
             }
         }
-        // Incremental append over a prefix reproduces the full matrix.
-        let full = enc.encode_dataset(&ds);
-        let prefix_rows: Vec<usize> = (0..ds.n_rows() / 2).collect();
-        let prefix = ds.gather(&prefix_rows);
-        let mut grown = enc.encode_dataset(&prefix);
-        enc.encode_append(&ds, &mut grown);
-        prop_assert_eq!(grown, full);
     }
 
     /// The quantized plane mirrors the encoded one: batch binning is
-    /// thread-count-invariant, codes round-trip through `bin_value`, and
-    /// binning base rows then appending the tail equals binning the
-    /// concatenated dataset when the fitted edges are unchanged.
+    /// thread-count-invariant and codes round-trip through `bin_value`.
     #[test]
-    fn binned_matrix_batch_and_append_equivalence(
+    fn binned_matrix_batch_equivalence(
         ds in arb_dataset(),
         max_bins in 2usize..32,
     ) {
@@ -116,13 +107,6 @@ proptest! {
                 );
             }
         }
-        // Append equivalence over a prefix (the binner was fitted on the
-        // full dataset, so its edges are unchanged by construction).
-        let prefix_rows: Vec<usize> = (0..ds.n_rows() / 2).collect();
-        let prefix = ds.gather(&prefix_rows);
-        let mut grown = binner.bin_dataset(&prefix);
-        binner.append(&ds, &mut grown);
-        prop_assert_eq!(grown, full);
     }
 
     /// Splits partition the index set with the requested sizes.

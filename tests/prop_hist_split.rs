@@ -1,10 +1,9 @@
 //! Property pins for histogram GBDT, at any bin budget: training is
-//! bit-identical across thread counts (fixed-order block reduction), and
-//! cached (incrementally binned) training equals fresh training.
+//! bit-identical across thread counts (fixed-order block reduction).
 
 use frote_data::{Dataset, Schema, Value};
 use frote_ml::gbdt::{Gbdt, GbdtParams, GbdtTrainer};
-use frote_ml::{Classifier, SplitMode, TrainAlgorithm, TrainCache};
+use frote_ml::{Classifier, SplitMode, TrainAlgorithm};
 use proptest::prelude::*;
 
 fn schema() -> Schema {
@@ -34,9 +33,9 @@ prop_compose! {
 }
 
 proptest! {
-    /// For any budget: thread-count invariance and cache transparency.
+    /// For any budget: thread-count invariance.
     #[test]
-    fn histogram_training_is_deterministic_and_cache_transparent(
+    fn histogram_training_is_deterministic_at_any_budget(
         ds in arb_coarse_dataset(),
         max_bins in 2usize..32,
     ) {
@@ -53,12 +52,6 @@ proptest! {
         let serial = preds_at(1);
         prop_assert_eq!(&preds_at(2), &serial, "FROTE_THREADS=2 drifted");
         prop_assert_eq!(&preds_at(4), &serial, "FROTE_THREADS=4 drifted");
-        let mut cache = TrainCache::new();
-        let cached = trainer.train_cached(&ds, &mut cache).predict_dataset(&ds);
-        prop_assert_eq!(&cached, &serial, "cached binning drifted");
-        // Syncing the same cache against the unchanged dataset is a no-op.
-        let resynced = trainer.train_cached(&ds, &mut cache).predict_dataset(&ds);
-        prop_assert_eq!(&resynced, &serial, "resynced cache drifted");
     }
 
     /// Probabilities, not just labels, are bit-identical across threads.
