@@ -31,11 +31,10 @@ enum FeatBins {
 
 /// A fitted per-feature quantile binner. See the [module docs](self).
 ///
-/// Equality compares the fitted edges and the bin budget.
+/// Equality compares the fitted edges.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Binner {
     feats: Vec<FeatBins>,
-    max_bins: usize,
 }
 
 impl Binner {
@@ -69,17 +68,12 @@ impl Binner {
                 _ => unreachable!("dataset column/schema kind mismatch"),
             }
         });
-        Binner { feats, max_bins }
+        Binner { feats }
     }
 
     /// Number of features.
     pub fn n_features(&self) -> usize {
         self.feats.len()
-    }
-
-    /// The bin budget this binner was fitted with.
-    pub fn max_bins(&self) -> usize {
-        self.max_bins
     }
 
     /// Number of bins for feature `f` (`edges + 1` for numeric features,
