@@ -506,8 +506,8 @@ pub enum MaskSync {
 /// - [`RuleMaskCache::truncate`] rolls rejected candidate rows back.
 ///
 /// Plans depend only on the schema — never on the rows — so a truncation
-/// is exact. Must only be reused across calls that pass the *same* rule set and the
-/// same append-only dataset; hand each FROTE run its own cache.
+/// is exact. Must only be reused across calls that pass the *same* rule
+/// set and the same append-only dataset; hand each FROTE run its own cache.
 #[derive(Debug, Clone)]
 pub struct RuleMaskCache {
     compiled: CompiledRuleSet,
