@@ -8,8 +8,8 @@
 //! This crate provides the std-only substrate:
 //!
 //! - a scoped [`pool::ThreadPool`] (shared lazily as one global pool),
-//! - data-parallel helpers [`par_map`] / [`par_chunks_map`] /
-//!   [`par_blocks_map`] and the fork-join primitives [`join`] / [`scope`],
+//! - data-parallel helpers [`par_map`] / [`par_map_mut`] /
+//!   [`par_chunks_map`] / [`par_blocks_map`] and the fork-join primitives [`join`] / [`scope`],
 //! - [`SeedSplit`], which derives independent per-item RNG streams from one
 //!   seed so randomized loops stay bit-identical at any thread count,
 //! - a single thread-count resolver [`threads`]:
@@ -213,6 +213,27 @@ where
     slots.into_iter().map(|out| out.expect("every item claimed once")).collect()
 }
 
+/// [`par_map`] over mutable items: applies `f(index, item)` to every
+/// element, in parallel, and returns the results in input order. Each item
+/// is handed to exactly one call, so for closures that depend only on their
+/// index and item, the items and outputs end up byte-identical to a serial
+/// loop regardless of `FROTE_THREADS`.
+pub fn par_map_mut<T, U, F>(items: &mut [T], f: F) -> Vec<U>
+where
+    T: Send,
+    U: Send,
+    F: Fn(usize, &mut T) -> U + Sync,
+{
+    if items.len() <= 1 || serial() {
+        return items.iter_mut().enumerate().map(|(i, item)| f(i, item)).collect();
+    }
+    // `par_map` lends items out shared; each lock is taken once, by the one
+    // call that claimed its index, so it never contends.
+    let cells: Vec<(usize, Mutex<&mut T>)> =
+        items.iter_mut().enumerate().map(|(i, item)| (i, Mutex::new(item))).collect();
+    par_map(&cells, |(i, cell)| f(*i, &mut cell.lock().expect("par_map_mut item poisoned")))
+}
+
 /// Splits `items` into fixed-size chunks of `chunk_size`, applies
 /// `f(chunk_index, chunk)` to each in parallel, and concatenates the
 /// per-chunk outputs in chunk order.
@@ -345,6 +366,22 @@ mod tests {
         for t in ["1", "2", "7"] {
             let par = with_env_threads(t, || par_map(&items, |&x| x * x + 1));
             assert_eq!(par, serial, "FROTE_THREADS={t}");
+        }
+    }
+
+    #[test]
+    fn par_map_mut_updates_every_item_once_at_any_thread_count() {
+        for t in ["1", "2", "7"] {
+            let mut items: Vec<u64> = (0..257).collect();
+            let out = with_env_threads(t, || {
+                par_map_mut(&mut items, |i, x| {
+                    *x = *x * 3 + i as u64;
+                    *x + 1
+                })
+            });
+            let want: Vec<u64> = (0..257).map(|x| x * 4).collect();
+            assert_eq!(items, want, "FROTE_THREADS={t}");
+            assert_eq!(out, want.iter().map(|x| x + 1).collect::<Vec<_>>(), "FROTE_THREADS={t}");
         }
     }
 
