@@ -3,14 +3,19 @@
 //! The exact split search ([`crate::tree`], [`crate::gbdt`]) scans a node's
 //! rows in ascending order of one numeric feature, rows with equal values in
 //! the node's current order: the sequence a stable `sort_by(partial_cmp)`
-//! yields. Rather than sorting `f64`s at every node, a fit ranks each
-//! numeric column once ([`RankTable::new`]; cells equal under `partial_cmp`
-//! share a dense `u32` rank, so `-0.0` ties `0.0`) and each node orders its
-//! rows by rank with a stable LSD counting sort ([`RankTable::sort_rows`]),
-//! one 8-bit digit of the rank per pass. Stability makes the result that
-//! same sequence, ties included, so anything accumulated along it (GBDT's
-//! `left_sum`) is bit-identical to the comparison sort's, at
-//! `O(passes · (rows + 256))` per node with no comparisons.
+//! yields. Rather than sorting `f64`s, a fit ranks each numeric column once
+//! ([`RankTable::new`]; cells equal under `partial_cmp` share a dense `u32`
+//! rank, so `-0.0` ties `0.0`) and orders rows by rank with a stable LSD
+//! counting sort ([`RankTable::sort_rows`]), one 8-bit digit of the rank
+//! per pass. Stability makes the result that same sequence, ties included,
+//! so anything accumulated along it (GBDT's `left_sum`) is bit-identical to
+//! the comparison sort's, at `O(passes · (rows + 256))` with no
+//! comparisons.
+//!
+//! Random-forest and decision-tree nodes sort their rows this way at every
+//! node, since a bootstrap root repeats rows. A GBDT fit sorts each column
+//! once, for the root that every one of its trees shares, and splits those
+//! lists down each tree instead.
 
 use frote_data::{Column, Dataset};
 

@@ -4,8 +4,9 @@
 //! sort replaced. The hash covers the model's `Debug` rendering, which
 //! prints every threshold, leaf value and leaf distribution in shortest
 //! round-trip form, so a pin holds only if the fits are bit-identical. Each
-//! pin is checked at `FROTE_THREADS` 1 and 2: the GBDT fits its per-class
-//! trees in parallel over one rank table, and the forest shares its table
+//! pin is checked at `FROTE_THREADS` 1, 2 and 4: the GBDT fits its
+//! per-class trees in parallel from one set of sorted columns and updates
+//! its scores in a row-parallel pass, and the forest shares its rank table
 //! across the trees `par_map` fits.
 
 use frote_data::synth::{DatasetKind, SynthConfig};
@@ -72,7 +73,7 @@ fn forest_digest(ds: &Dataset) -> u64 {
 fn check(name: &str, fit: fn(&Dataset) -> u64, pinned: &[(&str, u64)]) {
     for (ds_name, ds) in datasets() {
         let want = pinned.iter().find(|(n, _)| *n == ds_name).expect("pinned").1;
-        for threads in [1, 2] {
+        for threads in [1, 2, 4] {
             let got = with_threads(threads, || fit(&ds));
             assert_eq!(got, want, "{name} on {ds_name} at FROTE_THREADS={threads}: {got:#018x}");
         }
