@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use crate::error::FroteError;
 use crate::generate::{Generator, LabelPolicy};
 use crate::modstrategy::ModStrategy;
-use crate::objective::{empirical_j_masked, ObjectiveWeights};
+use crate::objective::{empirical_j, ObjectiveWeights};
 use crate::preselect::BasePopulation;
 use crate::report::{FroteReport, IterationRecord};
 use crate::select::{SelectCache, SelectionStrategy};
@@ -185,7 +185,7 @@ impl Frote {
         let mut model = algorithm.train(&active);
         let initial = {
             let masks = select_cache.rule_masks(frs, &active);
-            empirical_j_masked(model.as_ref(), &active, frs, &cfg.weights, masks)
+            empirical_j(model.as_ref(), &active, frs, &cfg.weights, masks)
         };
         let mut best = initial;
         let mut bp = BasePopulation::pre_select(&active, frs, cfg.k);
@@ -229,7 +229,7 @@ impl Frote {
             // MRA term empty forever and no candidate could be accepted.
             let candidate_j = {
                 let masks = select_cache.rule_masks(frs, &candidate);
-                empirical_j_masked(candidate_model.as_ref(), &candidate, frs, &cfg.weights, masks)
+                empirical_j(candidate_model.as_ref(), &candidate, frs, &cfg.weights, masks)
             };
             let accepted = candidate_j.j > best.j;
             let record = IterationRecord {
@@ -264,7 +264,7 @@ impl Frote {
 
         let final_objective = {
             let masks = select_cache.rule_masks(frs, &active);
-            empirical_j_masked(model.as_ref(), &active, frs, &cfg.weights, masks)
+            empirical_j(model.as_ref(), &active, frs, &cfg.weights, masks)
         };
         Ok(FroteOutput {
             dataset: active,

@@ -5,13 +5,10 @@
 //! `ΔJ`/`ΔMRA`/`ΔF` measured against the initial model on the test set,
 //! 50 runs.
 
-use frote::objective::{paper_j, ObjectiveValue};
+use frote::objective::{paper_j, paper_j_by, ObjectiveValue};
 use frote::{Frote, FroteConfig, ModStrategy};
 use frote_data::synth::DatasetKind;
-use frote_data::Dataset;
-use frote_ml::metrics;
 use frote_overlay::{Overlay, OverlayMode};
-use frote_rules::FeedbackRuleSet;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -36,35 +33,6 @@ pub struct OverlayCell {
     pub delta_mra: [Summary; 3],
     /// `ΔF-Score` in the same order.
     pub delta_f: [Summary; 3],
-}
-
-/// Scores an Overlay layer the same way models are scored: MRA against the
-/// rules inside coverage (first-match) and macro-F1 outside, coverage-
-/// weighted (`J̄`).
-fn overlay_objective(ov: &Overlay<'_>, test: &Dataset, frs: &FeedbackRuleSet) -> ObjectiveValue {
-    let n = test.n_rows();
-    let attributed = frs.attributed_coverage(test);
-    let mut j = 0.0;
-    let mut covered = 0usize;
-    let mut agree_total = 0.0;
-    for (r, rows) in attributed.iter().enumerate() {
-        if rows.is_empty() {
-            continue;
-        }
-        let rule = frs.rule(r);
-        let agree: f64 =
-            ov.predict_rows(test, rows).into_iter().map(|pred| rule.dist().prob(pred)).sum();
-        agree_total += agree;
-        covered += rows.len();
-        j += (rows.len() as f64 / n as f64) * (agree / rows.len() as f64);
-    }
-    let outside = frs.outside_coverage(test);
-    let preds = ov.predict_rows(test, &outside);
-    let labels: Vec<u32> = outside.iter().map(|&i| test.label(i)).collect();
-    let f1 = metrics::macro_f1(&preds, &labels, test.n_classes());
-    j += (n - covered) as f64 / n as f64 * f1;
-    let mra = if covered == 0 { 1.0 } else { agree_total / covered as f64 };
-    ObjectiveValue { mra, f1, j }
 }
 
 /// One run of the comparison: the test objectives of Overlay-Soft,
@@ -102,7 +70,8 @@ fn overlay_run(
         OverlayMode::Soft,
         &train,
     );
-    let soft_v = overlay_objective(&soft, &test, &frs);
+    // Both layers are scored like a model (`J̄` over the same test rows).
+    let soft_v = paper_j_by(&test, &frs, |d, rows| soft.predict_rows(d, rows));
     let hard = Overlay::with_triggers(
         initial_model.as_ref(),
         frs.clone(),
@@ -110,7 +79,7 @@ fn overlay_run(
         OverlayMode::Hard,
         &train,
     );
-    let hard_v = overlay_objective(&hard, &test, &frs);
+    let hard_v = paper_j_by(&test, &frs, |d, rows| hard.predict_rows(d, rows));
 
     // FROTE retrains (relabel strategy, random selection).
     let spec = RunSpec::new(model, scale);

@@ -31,8 +31,9 @@ fn split_with_fractions(
     outside_train_fraction: f64,
     rng: &mut StdRng,
 ) -> (Dataset, Dataset) {
-    let coverage = frs.coverage(ds);
-    let outside = frs.outside_coverage(ds);
+    let masks = frs.scan(ds);
+    let coverage = masks.coverage();
+    let outside = masks.outside_coverage();
     let outside_split = split_indices(&outside, outside_train_fraction, rng);
     let coverage_split = split_indices(&coverage, coverage_train_fraction, rng);
     let mut train = outside_split.train;

@@ -8,14 +8,6 @@ use crate::engine::CompiledClause;
 use crate::error::RuleError;
 use crate::predicate::{Op, Predicate};
 
-/// Datasets below this row count are scanned serially: the per-task cost of
-/// a predicate scan only beats the pool overhead on biggish inputs.
-const PAR_SCAN_MIN: usize = 4096;
-
-/// Fixed block size for parallel row scans; `par_blocks_map` keeps block
-/// boundaries thread-count-independent, so scans stay deterministic.
-const SCAN_BLOCK: usize = 1024;
-
 /// A conjunction of predicates. The empty clause is always true (it covers
 /// the entire domain), matching the paper's Algorithm 2 where deleting every
 /// condition yields coverage `|D|`.
@@ -60,66 +52,27 @@ impl Clause {
         self.predicates.iter().all(|p| p.eval_row(row))
     }
 
-    /// Row indices of `ds` covered by this clause (paper Eq. 1).
+    /// Row indices of `ds` covered by this clause (paper Eq. 1), swept by
+    /// the columnar engine ([`CompiledClause`]).
     ///
-    /// Valid clauses are evaluated by the columnar engine
-    /// ([`CompiledClause`]): compiled bitmask sweeps over the typed column
-    /// slices, bit-identical to [`Clause::coverage_interpreted`] at any
-    /// thread count. Clauses that fail schema validation fall back to the
-    /// interpreter, preserving its documented panic behavior; use
-    /// [`CompiledClause::compile`] for a `Result` instead.
+    /// # Panics
+    ///
+    /// Panics with the [`RuleError`] text if the clause fails validation
+    /// against `ds`'s schema; use [`CompiledClause::compile`] for a
+    /// `Result`.
     pub fn coverage(&self, ds: &Dataset) -> Vec<usize> {
-        match CompiledClause::compile(self, ds.schema()) {
-            Ok(compiled) => compiled.coverage(ds),
-            Err(_) => self.coverage_interpreted(ds),
-        }
+        self.compiled(ds).coverage(ds)
     }
 
-    /// Number of covered rows, without materializing indices — compiled
-    /// popcount for valid clauses, interpreter fallback otherwise (see
-    /// [`Clause::coverage`]).
+    /// Number of covered rows, by popcount without materializing indices
+    /// (panics as [`Clause::coverage`]).
     pub fn coverage_count(&self, ds: &Dataset) -> usize {
-        match CompiledClause::compile(self, ds.schema()) {
-            Ok(compiled) => compiled.coverage_count(ds),
-            Err(_) => self.coverage_count_interpreted(ds),
-        }
+        self.compiled(ds).coverage_count(ds)
     }
 
-    /// The row-at-a-time reference implementation of [`Clause::coverage`]:
-    /// evaluates boxed [`Value`] cells predicate by predicate. Kept as the
-    /// differential-testing oracle for the columnar engine (and as the
-    /// fallback for clauses that fail validation).
-    ///
-    /// Large datasets are scanned in parallel over fixed row blocks
-    /// (`frote_par`); the concatenated result is identical to the serial
-    /// scan at any thread count.
-    pub fn coverage_interpreted(&self, ds: &Dataset) -> Vec<usize> {
-        let n = ds.n_rows();
-        if n < PAR_SCAN_MIN || frote_par::serial() {
-            return (0..n).filter(|&i| self.covers_row(ds, i)).collect();
-        }
-        frote_par::par_blocks_map(n, SCAN_BLOCK, |_, rows| {
-            rows.filter(|&i| self.covers_row(ds, i)).collect()
-        })
-    }
-
-    /// Row-at-a-time reference implementation of
-    /// [`Clause::coverage_count`] (see [`Clause::coverage_interpreted`]).
-    pub fn coverage_count_interpreted(&self, ds: &Dataset) -> usize {
-        let n = ds.n_rows();
-        if n < PAR_SCAN_MIN || frote_par::serial() {
-            return (0..n).filter(|&i| self.covers_row(ds, i)).count();
-        }
-        frote_par::par_blocks_map(n, SCAN_BLOCK, |_, rows| {
-            vec![rows.filter(|&i| self.covers_row(ds, i)).count()]
-        })
-        .into_iter()
-        .sum()
-    }
-
-    #[inline]
-    fn covers_row(&self, ds: &Dataset, i: usize) -> bool {
-        self.predicates.iter().all(|p| p.eval(ds.value(i, p.feature())))
+    fn compiled(&self, ds: &Dataset) -> CompiledClause {
+        CompiledClause::compile(self, ds.schema())
+            .unwrap_or_else(|e| panic!("clause `{self}` does not compile: {e}"))
     }
 
     /// The conjunction of `self` and `other`.
@@ -331,9 +284,9 @@ mod tests {
 
     #[test]
     fn large_dataset_coverage_matches_row_filter() {
-        // 6000 rows crosses PAR_SCAN_MIN, so with FROTE_THREADS > 1 this
-        // runs the blocked parallel scan; either path must equal the brute
-        // filter, in row order.
+        // 6000 rows crosses the engine's parallel threshold, so with
+        // FROTE_THREADS > 1 this runs the blocked parallel sweep; either
+        // path must equal the brute filter, in row order.
         let mut ds = Dataset::new(schema());
         for i in 0..6000 {
             ds.push_row(&[Value::Num((i % 97) as f64), Value::Cat((i % 2) as u32)], 0).unwrap();
@@ -449,30 +402,46 @@ mod tests {
             CompiledClause::compile(&clause, &other),
             Err(RuleError::ValueKindMismatch { .. } | RuleError::OperatorNotAllowed { .. })
         ));
-        // Against the valid schema the compiled scans match the interpreter.
+        // Against the valid schema the compiled scan covers ages 24 and 28.
         let good = demo_dataset();
         let compiled = CompiledClause::compile(&clause, good.schema()).unwrap();
-        assert_eq!(compiled.coverage(&good), clause.coverage_interpreted(&good));
+        assert_eq!(compiled.coverage(&good), vec![0, 2]);
         assert_eq!(compiled.coverage_count(&good), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "value kind does not match feature \"job\"")]
+    fn coverage_panics_with_the_rule_error_of_a_clause_that_does_not_compile() {
+        // Category code 9 is outside `job`'s three-word vocabulary: the scan
+        // reports the compile error instead of silently covering nothing.
+        let c = Clause::new(vec![Predicate::new(1, Op::Eq, Value::Cat(9))]);
+        c.coverage(&demo_dataset());
+    }
+
+    #[test]
+    #[should_panic(expected = "operator != is not allowed on feature \"age\"")]
+    fn coverage_count_panics_with_the_rule_error_of_a_clause_that_does_not_compile() {
+        let c = Clause::new(vec![Predicate::new(0, Op::Ne, Value::Num(30.0))]);
+        c.coverage_count(&demo_dataset());
     }
 
     #[test]
     fn nan_cells_are_never_covered_by_any_numeric_operator() {
         // Pinned NaN semantics: IEEE comparisons against NaN are false, so
         // a NaN cell is outside every numeric predicate's coverage — in
-        // the interpreter and the compiled engine alike.
+        // the single-row check and the compiled engine alike.
         let mut ds = Dataset::new(schema());
         ds.push_row(&[Value::Num(f64::NAN), Value::Cat(0)], 0).unwrap();
         ds.push_row(&[Value::Num(24.0), Value::Cat(0)], 0).unwrap();
         for op in [Op::Eq, Op::Gt, Op::Ge, Op::Lt, Op::Le] {
             let c = Clause::new(vec![Predicate::new(0, op, Value::Num(24.0))]);
             assert!(!c.coverage(&ds).contains(&0), "{op:?} covered the NaN row");
-            assert!(!c.coverage_interpreted(&ds).contains(&0), "{op:?} interpreter");
+            assert!(!c.satisfied_by(&ds.row(0)), "{op:?} single-row check");
         }
         // A NaN *threshold* likewise covers nothing.
         let c = Clause::new(vec![Predicate::new(0, Op::Ge, Value::Num(f64::NAN))]);
         assert!(c.coverage(&ds).is_empty());
-        assert!(c.coverage_interpreted(&ds).is_empty());
+        assert!(!c.satisfied_by(&ds.row(1)));
     }
 
     #[test]

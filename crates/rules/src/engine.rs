@@ -1,29 +1,30 @@
 //! The columnar rule-evaluation engine: compiled predicate bitmasks over
-//! the dense data plane.
+//! the dense data plane. Every clause and rule-set scan runs here.
 //!
-//! The row-at-a-time interpreter ([`Clause::satisfied_by`] and friends)
-//! evaluates boxed [`Value`] cells predicate by predicate — `O(rows ×
-//! predicates)` of enum matching per scan. This module lowers a validated
-//! clause into per-feature *predicate plans* that sweep the typed column
-//! slices ([`frote_data::Column::as_numeric`] / `as_categorical`) directly,
-//! filling per-clause `u64` bitmask words combined with word-level AND,
-//! counting coverage via popcount, and parallelizing over fixed row blocks
-//! in block order so results are bit-identical at any `FROTE_THREADS`.
+//! [`CompiledClause::compile`] validates a clause against the schema and
+//! lowers every predicate into a per-feature *predicate plan* that sweeps
+//! the typed column slices ([`frote_data::Column::as_numeric`] /
+//! `as_categorical`) directly, filling per-clause `u64` bitmask words
+//! combined with word-level AND, counting coverage via popcount, and
+//! parallelizing over fixed row blocks in block order so results are
+//! bit-identical at any `FROTE_THREADS`.
 //!
 //! Evaluation ([`CompiledClause::eval`]) compares numeric thresholds
 //! against the raw `f64` column and categorical `Eq`/`Ne` against the `u32`
-//! code column. It is cell-for-cell identical to the interpreter —
-//! including IEEE `NaN` semantics, where every numeric comparison is
-//! `false` — so the interpreter remains the documented reference
-//! implementation and the differential proptests
+//! code column. It is cell-for-cell identical to the single-row check
+//! [`Clause::satisfied_by`] — including IEEE `NaN` semantics, where every
+//! numeric comparison is `false` — and the differential proptests
 //! (`tests/prop_rule_engine.rs`) hold the two equal on every row.
 //!
 //! Compilation *pre-validates* against the schema and returns
-//! [`RuleError`] — the `Result`-typed front door that replaces the
-//! interpreter's mid-scan kind-mismatch panics for parsed/expert rules.
+//! [`RuleError`]. The scan facades ([`Clause::coverage`],
+//! [`FeedbackRuleSet::coverage`] and friends) panic with that error's text;
+//! compile first for a `Result`.
 //!
-//! [`RuleMaskCache`] keeps per-rule masks incrementally in sync with the
-//! FROTE loop's append-only active dataset: new rows append mask bits,
+//! [`RuleMaskCache`] holds a rule set's compiled clauses and their per-rule
+//! masks. A one-shot set scan ([`FeedbackRuleSet::scan`]) compiles and
+//! evaluates every row once; the FROTE loop instead keeps one cache in
+//! sync with its append-only active dataset: new rows append mask bits,
 //! candidate rejection truncates them. Plans depend only on the schema,
 //! never on the rows, so truncation is exact.
 
@@ -37,8 +38,8 @@ use crate::error::RuleError;
 use crate::predicate::Op;
 use crate::ruleset::FeedbackRuleSet;
 
-/// Datasets below this row count are swept serially (same threshold as the
-/// interpreter's scan): the pool only pays off on biggish inputs.
+/// Datasets below this row count are swept serially: the pool only pays
+/// off on biggish inputs.
 const PAR_SCAN_MIN: usize = 4096;
 
 // Engine metrics (see frote-obs). Both thread-invariant: compiles and
@@ -215,7 +216,7 @@ impl RowMask {
     }
 }
 
-/// Whether `x op t` holds, with exactly the interpreter's IEEE semantics:
+/// Whether `x op t` holds, with exactly `Predicate::eval`'s IEEE semantics:
 /// every comparison against (or of) `NaN` is `false`.
 #[inline]
 fn num_holds(op: Op, x: f64, t: f64) -> bool {
@@ -307,8 +308,8 @@ impl PredPlan {
 }
 
 /// A clause lowered into columnar predicate plans. Construct with
-/// [`CompiledClause::compile`]; evaluation is bit-identical to the
-/// row-at-a-time interpreter at any thread count.
+/// [`CompiledClause::compile`]; evaluation agrees with
+/// [`Clause::satisfied_by`] on every row, at any thread count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledClause {
     preds: Vec<PredPlan>,
@@ -342,11 +343,6 @@ impl CompiledClause {
             })
             .collect();
         Ok(CompiledClause { preds })
-    }
-
-    /// Number of lowered predicates.
-    pub fn n_predicates(&self) -> usize {
-        self.preds.len()
     }
 
     /// Evaluates the clause over every row of `ds` as a bitmask, sweeping
@@ -394,91 +390,6 @@ impl CompiledClause {
     }
 }
 
-/// A whole rule set lowered onto the columnar engine: one compiled clause
-/// per rule, pre-validated as a set so scans are panic-free.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompiledRuleSet {
-    clauses: Vec<CompiledClause>,
-}
-
-impl CompiledRuleSet {
-    /// Validates every rule of `frs` against `schema` (clauses *and* label
-    /// distributions — the once-per-ruleset pre-validation) and compiles
-    /// each clause.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`RuleError`] found.
-    pub fn compile(frs: &FeedbackRuleSet, schema: &Schema) -> Result<CompiledRuleSet, RuleError> {
-        frs.validate(schema)?;
-        let clauses = frs
-            .iter()
-            .map(|r| CompiledClause::compile(r.clause(), schema))
-            .collect::<Result<_, _>>()?;
-        Ok(CompiledRuleSet { clauses })
-    }
-
-    /// Number of rules.
-    pub fn n_rules(&self) -> usize {
-        self.clauses.len()
-    }
-
-    /// The compiled clause of rule `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= n_rules()`.
-    pub fn clause(&self, r: usize) -> &CompiledClause {
-        &self.clauses[r]
-    }
-
-    /// Per-rule coverage masks over `ds`, in rule order.
-    pub fn rule_masks(&self, ds: &Dataset) -> Vec<RowMask> {
-        self.clauses.iter().map(|c| c.eval(ds)).collect()
-    }
-
-    /// Union coverage (sorted indices covered by at least one rule) — the
-    /// compiled twin of [`FeedbackRuleSet::coverage`].
-    pub fn coverage(&self, ds: &Dataset) -> Vec<usize> {
-        union_mask(&self.rule_masks(ds), ds.n_rows()).indices()
-    }
-
-    /// Complement of [`CompiledRuleSet::coverage`].
-    pub fn outside_coverage(&self, ds: &Dataset) -> Vec<usize> {
-        union_mask(&self.rule_masks(ds), ds.n_rows()).inverted().indices()
-    }
-
-    /// First-match attribution — the compiled twin of
-    /// [`FeedbackRuleSet::attributed_coverage`]: `out[r]` lists rows whose
-    /// first covering rule is `r`, via `mask_r AND NOT (union of earlier)`.
-    pub fn attributed_coverage(&self, ds: &Dataset) -> Vec<Vec<usize>> {
-        attribute(&self.rule_masks(ds), ds.n_rows())
-    }
-}
-
-/// OR of per-rule masks (all-false when there are no rules).
-fn union_mask(masks: &[RowMask], rows: usize) -> RowMask {
-    let mut union = RowMask::all_false(rows);
-    for m in masks {
-        union.or_assign(m);
-    }
-    union
-}
-
-/// First-match attribution over per-rule masks.
-fn attribute(masks: &[RowMask], rows: usize) -> Vec<Vec<usize>> {
-    let mut claimed = RowMask::all_false(rows);
-    masks
-        .iter()
-        .map(|m| {
-            let mut mine = m.clone();
-            mine.and_not_assign(&claimed);
-            claimed.or_assign(m);
-            mine.indices()
-        })
-        .collect()
-}
-
 /// How [`RuleMaskCache::sync`] brought the masks up to date.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MaskSync {
@@ -497,10 +408,14 @@ pub enum MaskSync {
     Injected,
 }
 
-/// Per-rule coverage masks kept incrementally in sync with the FROTE
-/// loop's append-only active dataset:
+/// A rule set lowered onto the columnar engine: one compiled clause per
+/// rule, pre-validated as a set, plus each rule's coverage mask over the
+/// rows evaluated so far.
 ///
-/// - [`RuleMaskCache::sync`] appends mask bits for rows past the last
+/// - [`FeedbackRuleSet::scan`] compiles a set and evaluates every row of
+///   one dataset once — the one-shot scan behind every set-level query;
+/// - [`RuleMaskCache::sync`] keeps the masks in step with the FROTE loop's
+///   append-only active dataset, appending bits for rows past the last
 ///   sync (the first sync evaluates the whole dataset with the blocked
 ///   parallel sweep);
 /// - [`RuleMaskCache::truncate`] rolls rejected candidate rows back.
@@ -510,22 +425,34 @@ pub enum MaskSync {
 /// set and the same append-only dataset; hand each FROTE run its own cache.
 #[derive(Debug, Clone)]
 pub struct RuleMaskCache {
-    compiled: CompiledRuleSet,
+    clauses: Vec<CompiledClause>,
     masks: Vec<RowMask>,
     rows: usize,
 }
 
 impl RuleMaskCache {
-    /// Compiles `frs` (pre-validating the whole set) with no rows synced
-    /// yet.
+    /// Validates every rule of `frs` against `schema` (clauses *and* label
+    /// distributions) and compiles each clause, with no rows synced yet.
     ///
     /// # Errors
     ///
-    /// Returns the first [`RuleError`] of [`CompiledRuleSet::compile`].
+    /// Returns the first [`RuleError`] found.
     pub fn compile(frs: &FeedbackRuleSet, schema: &Schema) -> Result<RuleMaskCache, RuleError> {
-        let compiled = CompiledRuleSet::compile(frs, schema)?;
-        let masks = vec![RowMask::all_false(0); compiled.n_rules()];
-        Ok(RuleMaskCache { compiled, masks, rows: 0 })
+        frs.validate(schema)?;
+        let clauses: Vec<CompiledClause> = frs
+            .iter()
+            .map(|r| CompiledClause::compile(r.clause(), schema))
+            .collect::<Result<_, _>>()?;
+        let masks = vec![RowMask::all_false(0); clauses.len()];
+        Ok(RuleMaskCache { clauses, masks, rows: 0 })
+    }
+
+    /// Evaluates every row of `ds` with the blocked parallel sweep,
+    /// replacing the masks. Counts nothing under `rule_mask_cache.*`: a
+    /// one-shot scan is not a cache sync.
+    pub(crate) fn eval_all(&mut self, ds: &Dataset) {
+        self.masks = self.clauses.iter().map(|c| c.eval(ds)).collect();
+        self.rows = ds.n_rows();
     }
 
     /// Brings the masks in sync with `ds`, whose leading `rows()` rows
@@ -544,7 +471,7 @@ impl RuleMaskCache {
             return MaskSync::Unchanged;
         }
         let outcome = if self.rows == 0 {
-            self.masks = self.compiled.rule_masks(ds);
+            self.eval_all(ds);
             SYNC_REBUILD.inc();
             SYNC_FIRST_FIT.inc();
             MaskSync::FirstFit
@@ -552,12 +479,12 @@ impl RuleMaskCache {
             // An injected fault poisoned the append fast path: degrade to a
             // full re-evaluation — bit-identical masks, only the cost
             // changes.
-            self.masks = self.compiled.rule_masks(ds);
+            self.eval_all(ds);
             SYNC_REBUILD.inc();
             SYNC_INJECTED.inc();
             MaskSync::Injected
         } else {
-            for (clause, mask) in self.compiled.clauses.iter().zip(&mut self.masks) {
+            for (clause, mask) in self.clauses.iter().zip(&mut self.masks) {
                 for i in self.rows..n {
                     mask.push(clause.holds_row(ds, i));
                 }
@@ -598,20 +525,39 @@ impl RuleMaskCache {
         &self.masks
     }
 
-    /// Union coverage over the synced rows (sorted indices).
+    /// Union coverage over the synced rows (paper Eq. 2; sorted indices).
     pub fn coverage(&self) -> Vec<usize> {
-        union_mask(&self.masks, self.rows).indices()
+        self.union().indices()
     }
 
     /// Complement of [`RuleMaskCache::coverage`] over the synced rows.
     pub fn outside_coverage(&self) -> Vec<usize> {
-        union_mask(&self.masks, self.rows).inverted().indices()
+        self.union().inverted().indices()
     }
 
-    /// First-match attribution over the synced rows (see
-    /// [`CompiledRuleSet::attributed_coverage`]).
+    /// First-match attribution over the synced rows: `out[r]` lists rows
+    /// whose first covering rule is `r`, via `mask_r AND NOT (union of
+    /// earlier masks)`.
     pub fn attributed_coverage(&self) -> Vec<Vec<usize>> {
-        attribute(&self.masks, self.rows)
+        let mut claimed = RowMask::all_false(self.rows);
+        self.masks
+            .iter()
+            .map(|m| {
+                let mut mine = m.clone();
+                mine.and_not_assign(&claimed);
+                claimed.or_assign(m);
+                mine.indices()
+            })
+            .collect()
+    }
+
+    /// OR of the per-rule masks (all-false when there are no rules).
+    fn union(&self) -> RowMask {
+        let mut union = RowMask::all_false(self.rows);
+        for m in &self.masks {
+            union.or_assign(m);
+        }
+        union
     }
 
     /// [`RuleMaskCache::sync`] serialized against the tests that arm
@@ -700,22 +646,24 @@ mod tests {
             for i in 0..d.n_rows() {
                 assert_eq!(mask.get(i), c.satisfied_by(&d.row(i)), "{c} row {i}");
             }
-            assert_eq!(compiled.coverage(&d), c.coverage_interpreted(&d), "{c}");
-            assert_eq!(compiled.coverage_count(&d), c.coverage_count_interpreted(&d), "{c}");
+            let oracle: Vec<usize> =
+                (0..d.n_rows()).filter(|&i| c.satisfied_by(&d.row(i))).collect();
+            assert_eq!(compiled.coverage(&d), oracle, "{c}");
+            assert_eq!(compiled.coverage_count(&d), oracle.len(), "{c}");
         }
     }
 
     #[test]
     fn nan_cell_is_never_covered() {
-        // Satellite pin: every numeric operator on a NaN cell is false, in
-        // the interpreter and the compiled sweep alike.
+        // Every numeric operator on a NaN cell is false, in the single-row
+        // check and the compiled sweep alike.
         let d = ds();
         let s = schema();
         for op in [Op::Eq, Op::Gt, Op::Ge, Op::Lt, Op::Le] {
             let c = Clause::new(vec![num(op, f64::from(7))]);
             let compiled = CompiledClause::compile(&c, &s).unwrap();
             assert!(!compiled.eval(&d).get(7), "{op:?} must not cover the NaN row");
-            assert!(!c.satisfied_by(&d.row(7)), "{op:?} interpreter");
+            assert!(!c.satisfied_by(&d.row(7)), "{op:?} single-row check");
         }
     }
 
@@ -749,21 +697,31 @@ mod tests {
 
     #[test]
     fn ruleset_masks_match_interpreted_set_scans() {
+        // x = 0..10 (NaN at 7), k = i % 3: rule 0 covers 0..=4, rule 1
+        // covers {0, 3, 6} and rule 2 covers {2, 5, 8}.
         let d = ds();
         let f = frs();
-        let compiled = CompiledRuleSet::compile(&f, &schema()).unwrap();
-        assert_eq!(compiled.n_rules(), 3);
-        assert_eq!(compiled.coverage(&d), f.coverage_interpreted(&d));
-        assert_eq!(compiled.outside_coverage(&d), f.outside_coverage_interpreted(&d));
-        assert_eq!(compiled.attributed_coverage(&d), f.attributed_coverage_interpreted(&d));
-        assert_eq!(compiled.clause(0).coverage(&d), f.rule(0).clause().coverage_interpreted(&d));
+        let scan = f.scan(&d);
+        assert_eq!(scan.n_rules(), 3);
+        assert_eq!(scan.rows(), d.n_rows());
+        assert_eq!(scan.coverage(), vec![0, 1, 2, 3, 4, 5, 6, 8]);
+        assert_eq!(scan.outside_coverage(), vec![7, 9]);
+        assert_eq!(scan.attributed_coverage(), vec![vec![0, 1, 2, 3, 4], vec![6], vec![5, 8]]);
+        // The same attribution, row by row, from the single-row check.
+        let mut oracle = vec![Vec::new(); f.len()];
+        for i in 0..d.n_rows() {
+            if let Some(r) = f.first_covering(&d.row(i)) {
+                oracle[r].push(i);
+            }
+        }
+        assert_eq!(scan.attributed_coverage(), oracle);
     }
 
     #[test]
     fn ruleset_compile_validates_distributions_too() {
         let bad = FeedbackRuleSet::new(vec![FeedbackRule::deterministic(Clause::always_true(), 7)]);
         assert!(matches!(
-            CompiledRuleSet::compile(&bad, &schema()),
+            RuleMaskCache::compile(&bad, &schema()),
             Err(RuleError::UnknownClass { class: 7 })
         ));
     }
@@ -782,18 +740,18 @@ mod tests {
             "first sync evaluates the whole dataset"
         );
         assert_eq!(cache.rows(), d.n_rows());
-        let fresh = CompiledRuleSet::compile(&f, &schema()).unwrap();
-        assert_eq!(cache.masks(), fresh.rule_masks(&d).as_slice());
+        assert_eq!(cache.masks(), f.scan(&d).masks());
 
         // Append a tail — incremental bits must equal a from-scratch eval.
         for i in 0..5 {
             d.push_row(&[Value::Num(f64::from(i)), Value::Cat(0)], 1).unwrap();
         }
         assert_eq!(cache.sync_unfaulted(&d), MaskSync::Appended { rows: 5 });
-        assert_eq!(cache.masks(), fresh.rule_masks(&d).as_slice());
-        assert_eq!(cache.coverage(), fresh.coverage(&d));
-        assert_eq!(cache.outside_coverage(), fresh.outside_coverage(&d));
-        assert_eq!(cache.attributed_coverage(), fresh.attributed_coverage(&d));
+        let fresh = f.scan(&d);
+        assert_eq!(cache.masks(), fresh.masks());
+        assert_eq!(cache.coverage(), fresh.coverage());
+        assert_eq!(cache.outside_coverage(), fresh.outside_coverage());
+        assert_eq!(cache.attributed_coverage(), fresh.attributed_coverage());
 
         // Reject the tail: truncate is exact, and re-sync is a no-op.
         let base = ds();
@@ -803,7 +761,7 @@ mod tests {
             MaskSync::Unchanged,
             "exact rollback: nothing to redo"
         );
-        assert_eq!(cache.masks(), fresh.rule_masks(&base).as_slice());
+        assert_eq!(cache.masks(), f.scan(&base).masks());
     }
 
     #[test]
@@ -820,8 +778,7 @@ mod tests {
                 "a poisoned append degrades to a full re-evaluation"
             );
         });
-        let fresh = CompiledRuleSet::compile(&f, &schema()).unwrap();
-        assert_eq!(cache.masks(), fresh.rule_masks(&d).as_slice(), "bit-identical degradation");
+        assert_eq!(cache.masks(), f.scan(&d).masks(), "bit-identical degradation");
         d.push_row(&[Value::Num(2.0), Value::Cat(0)], 1).unwrap();
         assert_eq!(cache.sync_unfaulted(&d), MaskSync::Appended { rows: 1 }, "fault cleared");
     }
@@ -835,5 +792,14 @@ mod tests {
         assert_eq!(cache.rows(), d.n_rows());
         assert!(cache.coverage().is_empty());
         assert_eq!(cache.outside_coverage(), (0..d.n_rows()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn scan_of_an_empty_dataset_covers_nothing() {
+        let scan = frs().scan(&Dataset::new(schema()));
+        assert_eq!(scan.rows(), 0);
+        assert!(scan.coverage().is_empty());
+        assert!(scan.outside_coverage().is_empty());
+        assert_eq!(scan.attributed_coverage(), vec![Vec::<usize>::new(); 3]);
     }
 }

@@ -10,6 +10,13 @@
 //! conjunctions of `(attribute, operator, value)` predicates; categorical
 //! attributes allow `{=, !=}`, numeric attributes allow `{=, >, >=, <, <=}`.
 //!
+//! Every coverage scan runs on the compiled columnar [`engine`]: a clause
+//! compiles to per-column predicate plans ([`CompiledClause`]) and a rule
+//! set to a [`RuleMaskCache`] of per-rule [`RowMask`]s. The single-row
+//! checks ([`Clause::satisfied_by`], [`FeedbackRuleSet::first_covering`])
+//! serve generation and the Overlay baseline, which test one row at a
+//! time.
+//!
 //! ```
 //! use frote_data::{Schema, Dataset, Value};
 //! use frote_rules::{Clause, FeedbackRule, LabelDist, Op, Predicate};
@@ -44,14 +51,13 @@ mod error;
 pub mod parse;
 pub mod perturb;
 mod predicate;
-pub mod quality;
 pub mod relax;
 mod rule;
 mod ruleset;
 
 pub use clause::Clause;
 pub use dist::LabelDist;
-pub use engine::{CompiledClause, CompiledRuleSet, MaskSync, RowMask, RuleMaskCache};
+pub use engine::{CompiledClause, MaskSync, RowMask, RuleMaskCache};
 pub use error::RuleError;
 pub use predicate::{Op, Predicate};
 pub use rule::FeedbackRule;

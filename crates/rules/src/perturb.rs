@@ -46,7 +46,11 @@ impl Default for PerturbConfig {
     }
 }
 
-/// Generates a pool of perturbed feedback rules from `seed_rules`.
+/// Generates a pool of perturbed feedback rules from `seed_rules`, each
+/// paired with the index of the seed rule it was perturbed from. The
+/// Overlay baseline needs this mapping: Daly et al.'s patch layer triggers
+/// on the *original* explanation rule's region, not only on the edited
+/// feedback rule's.
 ///
 /// Each produced rule is deterministic with a class drawn uniformly from the
 /// classes *other than* its seed rule's class — the "deviates from the
@@ -58,23 +62,6 @@ impl Default for PerturbConfig {
 ///
 /// Panics if `seed_rules` is empty, a seed rule has an empty clause, or the
 /// schema has fewer than two classes.
-pub fn generate_pool<R: Rng + ?Sized>(
-    seed_rules: &[FeedbackRule],
-    ds: &Dataset,
-    schema: &Schema,
-    config: &PerturbConfig,
-    rng: &mut R,
-) -> Vec<FeedbackRule> {
-    generate_pool_with_provenance(seed_rules, ds, schema, config, rng)
-        .into_iter()
-        .map(|(rule, _)| rule)
-        .collect()
-}
-
-/// Like [`generate_pool`] but records, for each produced rule, the index of
-/// the seed rule it was perturbed from. The Overlay baseline needs this
-/// mapping: Daly et al.'s patch layer triggers on the *original* explanation
-/// rule's region, not only on the edited feedback rule's.
 pub fn generate_pool_with_provenance<R: Rng + ?Sized>(
     seed_rules: &[FeedbackRule],
     ds: &Dataset,
@@ -218,13 +205,27 @@ mod tests {
         (ds, vec![r1, r2])
     }
 
+    /// The pool's rules without their provenance.
+    fn generate_rules(
+        seeds: &[FeedbackRule],
+        ds: &Dataset,
+        schema: &Schema,
+        cfg: &PerturbConfig,
+        rng: &mut StdRng,
+    ) -> Vec<FeedbackRule> {
+        generate_pool_with_provenance(seeds, ds, schema, cfg, rng)
+            .into_iter()
+            .map(|(rule, _)| rule)
+            .collect()
+    }
+
     #[test]
     fn pool_respects_coverage_bounds() {
         let (ds, seeds) = setup();
         let schema = ds.schema().clone();
         let mut rng = StdRng::seed_from_u64(42);
         let cfg = PerturbConfig { pool_size: 20, ..Default::default() };
-        let pool = generate_pool(&seeds, &ds, &schema, &cfg, &mut rng);
+        let pool = generate_rules(&seeds, &ds, &schema, &cfg, &mut rng);
         assert_eq!(pool.len(), 20);
         let n = ds.n_rows() as f64;
         for rule in &pool {
@@ -240,7 +241,7 @@ mod tests {
         let schema = ds.schema().clone();
         let mut rng = StdRng::seed_from_u64(7);
         let cfg = PerturbConfig { pool_size: 30, ..Default::default() };
-        let pool = generate_pool(&seeds, &ds, &schema, &cfg, &mut rng);
+        let pool = generate_rules(&seeds, &ds, &schema, &cfg, &mut rng);
         // Every rule must be deterministic and reference a valid class.
         for rule in &pool {
             assert!(matches!(rule.dist(), LabelDist::Deterministic(_)));
@@ -252,8 +253,8 @@ mod tests {
         let (ds, seeds) = setup();
         let schema = ds.schema().clone();
         let cfg = PerturbConfig { pool_size: 10, ..Default::default() };
-        let a = generate_pool(&seeds, &ds, &schema, &cfg, &mut StdRng::seed_from_u64(3));
-        let b = generate_pool(&seeds, &ds, &schema, &cfg, &mut StdRng::seed_from_u64(3));
+        let a = generate_rules(&seeds, &ds, &schema, &cfg, &mut StdRng::seed_from_u64(3));
+        let b = generate_rules(&seeds, &ds, &schema, &cfg, &mut StdRng::seed_from_u64(3));
         assert_eq!(a, b);
     }
 
@@ -280,7 +281,7 @@ mod tests {
         )];
         let mut rng = StdRng::seed_from_u64(5);
         let cfg = PerturbConfig { pool_size: 10, ..Default::default() };
-        let pool = generate_pool(&seeds, &ds, &schema, &cfg, &mut rng);
+        let pool = generate_rules(&seeds, &ds, &schema, &cfg, &mut rng);
         assert!(!pool.is_empty());
         for r in &pool {
             r.validate(&schema).unwrap();
@@ -293,7 +294,7 @@ mod tests {
         let (ds, _) = setup();
         let schema = ds.schema().clone();
         let mut rng = StdRng::seed_from_u64(0);
-        generate_pool(&[], &ds, &schema, &PerturbConfig::default(), &mut rng);
+        generate_rules(&[], &ds, &schema, &PerturbConfig::default(), &mut rng);
     }
 
     #[test]
@@ -311,25 +312,6 @@ mod tests {
         // Both seeds should be used across a pool of this size.
         let used: std::collections::HashSet<usize> = pool.iter().map(|&(_, s)| s).collect();
         assert!(used.len() >= 2, "only one seed ever used: {used:?}");
-    }
-
-    #[test]
-    fn plain_pool_matches_provenance_pool() {
-        let (ds, seeds) = setup();
-        let schema = ds.schema().clone();
-        let cfg = PerturbConfig { pool_size: 10, ..Default::default() };
-        let plain = generate_pool(&seeds, &ds, &schema, &cfg, &mut StdRng::seed_from_u64(4));
-        let tracked: Vec<FeedbackRule> = generate_pool_with_provenance(
-            &seeds,
-            &ds,
-            &schema,
-            &cfg,
-            &mut StdRng::seed_from_u64(4),
-        )
-        .into_iter()
-        .map(|(r, _)| r)
-        .collect();
-        assert_eq!(plain, tracked);
     }
 
     #[test]

@@ -11,7 +11,6 @@
 use frote_data::Dataset;
 
 use crate::clause::Clause;
-use crate::rule::FeedbackRule;
 
 /// Result of relaxing one rule.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,8 +31,8 @@ impl Relaxed {
     }
 }
 
-/// Relaxes `rule`'s clause until it covers at least `min_support` rows of
-/// `ds`, deleting greedily max-coverage conditions one level at a time.
+/// Relaxes `clause` until it covers at least `min_support` rows of `ds`,
+/// deleting greedily max-coverage conditions one level at a time.
 ///
 /// Returns the relaxed clause along with its support and the number of
 /// deletions. If the original clause already has enough support it is
@@ -41,11 +40,6 @@ impl Relaxed {
 /// (i.e. `ds.n_rows() < min_support`), the empty clause is returned with
 /// support `ds.n_rows()` — callers decide how to handle datasets that are
 /// too small (FROTE's PreSelectBP skips such rules).
-pub fn maximal_partial_rule(rule: &FeedbackRule, ds: &Dataset, min_support: usize) -> Relaxed {
-    relax_clause(rule.clause(), ds, min_support)
-}
-
-/// Clause-level variant of [`maximal_partial_rule`].
 pub fn relax_clause(clause: &Clause, ds: &Dataset, min_support: usize) -> Relaxed {
     let mut current = clause.clone();
     let mut support = current.coverage_count(ds);
@@ -74,6 +68,7 @@ mod tests {
     use super::*;
     use crate::dist::LabelDist;
     use crate::predicate::{Op, Predicate};
+    use crate::rule::FeedbackRule;
     use frote_data::{Dataset, Schema, Value};
 
     fn schema() -> Schema {
@@ -100,7 +95,7 @@ mod tests {
     #[test]
     fn no_relaxation_when_support_suffices() {
         let r = rule(vec![Predicate::new(0, Op::Lt, Value::Num(6.0))]);
-        let out = maximal_partial_rule(&r, &ds(), 5);
+        let out = relax_clause(r.clause(), &ds(), 5);
         assert!(!out.was_relaxed());
         assert_eq!(out.support, 6);
         assert_eq!(&out.clause, r.clause());
@@ -115,7 +110,7 @@ mod tests {
             Predicate::new(0, Op::Lt, Value::Num(2.0)),
             Predicate::new(1, Op::Eq, Value::Cat(1)),
         ]);
-        let out = maximal_partial_rule(&r, &ds(), 2);
+        let out = relax_clause(r.clause(), &ds(), 2);
         assert_eq!(out.deleted, 1);
         assert_eq!(out.support, 2);
         assert_eq!(out.clause.len(), 1);
@@ -130,7 +125,7 @@ mod tests {
             Predicate::new(0, Op::Ge, Value::Num(9.0)),
             Predicate::new(1, Op::Eq, Value::Cat(0)),
         ]);
-        let out = maximal_partial_rule(&r, &ds(), 6);
+        let out = relax_clause(r.clause(), &ds(), 6);
         assert_eq!(out.deleted, 1);
         assert_eq!(out.support, 8);
         assert_eq!(out.clause.predicates()[0], Predicate::new(1, Op::Eq, Value::Cat(0)));
@@ -139,7 +134,7 @@ mod tests {
     #[test]
     fn full_relaxation_reaches_empty_clause() {
         let r = rule(vec![Predicate::new(0, Op::Ge, Value::Num(100.0))]);
-        let out = maximal_partial_rule(&r, &ds(), 10);
+        let out = relax_clause(r.clause(), &ds(), 10);
         assert!(out.clause.is_empty());
         assert_eq!(out.support, 10);
         assert_eq!(out.deleted, 1);
@@ -148,7 +143,7 @@ mod tests {
     #[test]
     fn impossible_support_returns_empty_clause_with_all_rows() {
         let r = rule(vec![Predicate::new(0, Op::Ge, Value::Num(100.0))]);
-        let out = maximal_partial_rule(&r, &ds(), 500);
+        let out = relax_clause(r.clause(), &ds(), 500);
         assert!(out.clause.is_empty());
         assert_eq!(out.support, 10);
     }
@@ -159,7 +154,7 @@ mod tests {
             Predicate::new(0, Op::Ge, Value::Num(9.0)),
             Predicate::new(1, Op::Eq, Value::Cat(0)),
         ]);
-        let out = maximal_partial_rule(&r, &ds(), 6);
+        let out = relax_clause(r.clause(), &ds(), 6);
         assert!(out.clause.subset_of(r.clause()));
     }
 
@@ -170,7 +165,7 @@ mod tests {
             Predicate::new(1, Op::Eq, Value::Cat(1)),
         ]);
         let original_support = r.coverage_count(&ds());
-        let out = maximal_partial_rule(&r, &ds(), 4);
+        let out = relax_clause(r.clause(), &ds(), 4);
         assert!(out.support >= original_support);
     }
 }

@@ -2,7 +2,7 @@
 
 use frote_data::{Dataset, Schema, Value};
 
-use crate::engine::CompiledRuleSet;
+use crate::engine::RuleMaskCache;
 use crate::error::RuleError;
 use crate::rule::FeedbackRule;
 
@@ -73,7 +73,7 @@ impl FeedbackRuleSet {
 
     /// Validated construction: every rule is checked against `schema` and
     /// lowered through the engine's compile path
-    /// ([`CompiledRuleSet::compile`]) before the set exists, so
+    /// ([`RuleMaskCache::compile`]) before the set exists, so
     /// expert-submitted or parsed rules are rejected with a [`RuleError`]
     /// before they can reach any scan.
     ///
@@ -84,8 +84,7 @@ impl FeedbackRuleSet {
     /// first-match attribution.
     pub fn try_new(rules: Vec<FeedbackRule>, schema: &Schema) -> Result<Self, RuleError> {
         let set = FeedbackRuleSet { rules };
-        set.validate(schema)?;
-        CompiledRuleSet::compile(&set, schema)?;
+        RuleMaskCache::compile(&set, schema)?;
         set.require_effectively_conflict_free(schema)?;
         Ok(set)
     }
@@ -115,63 +114,39 @@ impl FeedbackRuleSet {
         self.rules.iter()
     }
 
-    /// Union coverage over `ds` (paper Eq. 2): sorted, deduplicated row
-    /// indices covered by at least one rule.
+    /// Compiles the set against `ds`'s schema and evaluates every row once:
+    /// the one mask evaluation that union coverage, outside coverage and
+    /// first-match attribution all read. Callers that need more than one of
+    /// them scan once and query the returned [`RuleMaskCache`].
     ///
-    /// Valid sets are scanned by the columnar engine ([`CompiledRuleSet`]:
-    /// per-rule bitmasks OR-ed word by word); sets that fail validation
-    /// fall back to [`FeedbackRuleSet::coverage_interpreted`], preserving
-    /// the interpreter's documented panic behavior. Build the set with
-    /// [`FeedbackRuleSet::try_new`] (or compile it with
-    /// [`CompiledRuleSet::compile`]) for a `Result` instead.
+    /// # Panics
+    ///
+    /// Panics with the [`RuleError`] text if a rule fails validation
+    /// against `ds`'s schema; build the set with
+    /// [`FeedbackRuleSet::try_new`] (or use [`RuleMaskCache::compile`]) for
+    /// a `Result`.
+    pub fn scan(&self, ds: &Dataset) -> RuleMaskCache {
+        let mut masks = RuleMaskCache::compile(self, ds.schema())
+            .unwrap_or_else(|e| panic!("rule set does not compile: {e}"));
+        masks.eval_all(ds);
+        masks
+    }
+
+    /// Union coverage over `ds` (paper Eq. 2): sorted, deduplicated row
+    /// indices covered by at least one rule (panics as
+    /// [`FeedbackRuleSet::scan`]).
     pub fn coverage(&self, ds: &Dataset) -> Vec<usize> {
-        match CompiledRuleSet::compile(self, ds.schema()) {
-            Ok(compiled) => compiled.coverage(ds),
-            Err(_) => self.coverage_interpreted(ds),
-        }
+        self.scan(ds).coverage()
     }
 
     /// Complement of [`FeedbackRuleSet::coverage`] over `ds`.
     pub fn outside_coverage(&self, ds: &Dataset) -> Vec<usize> {
-        match CompiledRuleSet::compile(self, ds.schema()) {
-            Ok(compiled) => compiled.outside_coverage(ds),
-            Err(_) => self.outside_coverage_interpreted(ds),
-        }
-    }
-
-    /// The row-at-a-time reference implementation of
-    /// [`FeedbackRuleSet::coverage`] — kept as the differential-testing
-    /// oracle for the columnar engine (and as the fallback for sets that
-    /// fail validation).
-    pub fn coverage_interpreted(&self, ds: &Dataset) -> Vec<usize> {
-        let mut covered = vec![false; ds.n_rows()];
-        for rule in &self.rules {
-            for i in rule.clause().coverage_interpreted(ds) {
-                covered[i] = true;
-            }
-        }
-        covered.iter().enumerate().filter_map(|(i, &c)| c.then_some(i)).collect()
-    }
-
-    /// Row-at-a-time reference implementation of
-    /// [`FeedbackRuleSet::outside_coverage`].
-    pub fn outside_coverage_interpreted(&self, ds: &Dataset) -> Vec<usize> {
-        let covered = self.coverage_interpreted(ds);
-        let mut mask = vec![true; ds.n_rows()];
-        for i in covered {
-            mask[i] = false;
-        }
-        mask.iter().enumerate().filter_map(|(i, &m)| m.then_some(i)).collect()
+        self.scan(ds).outside_coverage()
     }
 
     /// Index of the first (highest-priority) rule covering `row`.
     pub fn first_covering(&self, row: &[Value]) -> Option<usize> {
         self.rules.iter().position(|r| r.covers(row))
-    }
-
-    /// Indices of all rules covering `row`.
-    pub fn covering_rules(&self, row: &[Value]) -> Vec<usize> {
-        self.rules.iter().enumerate().filter_map(|(i, r)| r.covers(row).then_some(i)).collect()
     }
 
     /// Validates every rule against `schema`.
@@ -233,8 +208,8 @@ impl FeedbackRuleSet {
             .collect()
     }
 
-    /// Like [`FeedbackRuleSet::require_conflict_free`] but under first-match
-    /// attribution (see [`FeedbackRuleSet::effective_conflicts`]).
+    /// Errors with the first conflict that survives first-match attribution
+    /// (see [`FeedbackRuleSet::effective_conflicts`]).
     ///
     /// # Errors
     ///
@@ -242,18 +217,6 @@ impl FeedbackRuleSet {
     /// pair.
     pub fn require_effectively_conflict_free(&self, schema: &Schema) -> Result<(), RuleError> {
         match self.effective_conflicts(schema).first() {
-            Some(&(first, second)) => Err(RuleError::ConflictingRules { first, second }),
-            None => Ok(()),
-        }
-    }
-
-    /// Errors with the first conflicting pair, if any.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuleError::ConflictingRules`] naming the pair.
-    pub fn require_conflict_free(&self, schema: &Schema) -> Result<(), RuleError> {
-        match self.conflicts(schema).first() {
             Some(&(first, second)) => Err(RuleError::ConflictingRules { first, second }),
             None => Ok(()),
         }
@@ -307,56 +270,12 @@ impl FeedbackRuleSet {
         FeedbackRuleSet { rules: kept }
     }
 
-    /// Merges rules that overlap but do not conflict (paper §3.2: disjoint
-    /// coverage "can be achieved by 1) resolving conflicts ... and 2) merging
-    /// rules that overlap but do not conflict"). Rules with *identical*
-    /// distributions whose clauses overlap are combined by keeping both
-    /// clauses under one logical rule? Clause disjunction is not
-    /// representable, so merging here means: later duplicate-semantics rules
-    /// whose coverage is *subsumed* by an earlier same-distribution rule
-    /// (every predicate of the earlier clause appears in the later one) are
-    /// removed — they can never win attribution and only add evaluation
-    /// cost.
-    pub fn merge_agreeing_overlaps(&self) -> FeedbackRuleSet {
-        let mut kept: Vec<FeedbackRule> = Vec::new();
-        for rule in &self.rules {
-            let subsumed =
-                kept.iter().any(|k| k.dist() == rule.dist() && k.clause().subset_of(rule.clause()));
-            if !subsumed {
-                kept.push(rule.clone());
-            }
-        }
-        FeedbackRuleSet { rules: kept }
-    }
-
     /// Effective (first-match) coverage attribution per rule over `ds`:
     /// `out[r]` lists the rows whose *first* covering rule is `r`. The
-    /// resulting sets are disjoint, matching §3.2's assumption.
-    ///
-    /// Valid sets attribute via compiled bitmasks (`mask_r AND NOT` the
-    /// union of earlier masks — see
-    /// [`CompiledRuleSet::attributed_coverage`]); invalid sets fall back to
-    /// the row-at-a-time reference.
+    /// resulting sets are disjoint, matching §3.2's assumption (panics as
+    /// [`FeedbackRuleSet::scan`]).
     pub fn attributed_coverage(&self, ds: &Dataset) -> Vec<Vec<usize>> {
-        match CompiledRuleSet::compile(self, ds.schema()) {
-            Ok(compiled) => compiled.attributed_coverage(ds),
-            Err(_) => self.attributed_coverage_interpreted(ds),
-        }
-    }
-
-    /// Row-at-a-time reference implementation of
-    /// [`FeedbackRuleSet::attributed_coverage`]: materializes each row and
-    /// asks [`FeedbackRuleSet::first_covering`].
-    pub fn attributed_coverage_interpreted(&self, ds: &Dataset) -> Vec<Vec<usize>> {
-        let mut out = vec![Vec::new(); self.rules.len()];
-        let mut row = Vec::new();
-        for i in 0..ds.n_rows() {
-            ds.row_into(i, &mut row);
-            if let Some(r) = self.first_covering(&row) {
-                out[r].push(i);
-            }
-        }
-        out
+        self.scan(ds).attributed_coverage()
     }
 }
 
@@ -424,7 +343,6 @@ mod tests {
         assert_eq!(frs.first_covering(&d.row(0)), Some(0));
         assert_eq!(frs.first_covering(&d.row(1)), Some(1));
         assert_eq!(frs.first_covering(&d.row(2)), None);
-        assert_eq!(frs.covering_rules(&d.row(0)), vec![0, 1]);
     }
 
     #[test]
@@ -438,7 +356,7 @@ mod tests {
         assert_eq!(frs.conflicts(&s), vec![(0, 1)]);
         assert!(!frs.is_conflict_free(&s));
         assert!(matches!(
-            frs.require_conflict_free(&s),
+            frs.require_effectively_conflict_free(&s),
             Err(RuleError::ConflictingRules { first: 0, second: 1 })
         ));
 
@@ -536,31 +454,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_drops_subsumed_agreeing_rules() {
-        let wide = FeedbackRule::deterministic(lt(5.0), 1);
-        // Narrower clause, same class, strictly more predicates including
-        // the wide rule's predicate -> subsumed.
-        let narrow = FeedbackRule::deterministic(
-            lt(5.0).and(&Clause::new(vec![Predicate::new(1, Op::Eq, Value::Cat(0))])),
-            1,
-        );
-        let frs = FeedbackRuleSet::new(vec![wide.clone(), narrow]);
-        let merged = frs.merge_agreeing_overlaps();
-        assert_eq!(merged.len(), 1);
-        assert_eq!(merged.rule(0), &wide);
-
-        // Different class -> kept (that's a conflict, not a merge).
-        let other = FeedbackRule::deterministic(lt(3.0), 0);
-        let frs = FeedbackRuleSet::new(vec![wide.clone(), other.clone()]);
-        assert_eq!(frs.merge_agreeing_overlaps().len(), 2);
-
-        // Non-subsuming overlap with the same class -> kept.
-        let overlapping = FeedbackRule::deterministic(ge(2.0), 1);
-        let frs = FeedbackRuleSet::new(vec![wide, overlapping]);
-        assert_eq!(frs.merge_agreeing_overlaps().len(), 2);
-    }
-
-    #[test]
     fn validate_propagates() {
         let s = schema();
         let bad = FeedbackRuleSet::new(vec![FeedbackRule::deterministic(Clause::always_true(), 7)]);
@@ -578,19 +471,62 @@ mod tests {
             0,
         );
         let bad_set = FeedbackRuleSet::new(vec![bad.clone()]);
-        assert!(CompiledRuleSet::compile(&bad_set, d.schema()).is_err());
+        assert!(RuleMaskCache::compile(&bad_set, d.schema()).is_err());
         assert!(FeedbackRuleSet::try_new(vec![bad], d.schema()).is_err());
 
-        // Valid sets produce exactly the interpreted reference results.
+        // Valid sets: every set scan agrees with the single-row check.
         let good = FeedbackRuleSet::try_new(
             vec![FeedbackRule::deterministic(lt(4.0), 1), FeedbackRule::deterministic(lt(6.0), 1)],
             d.schema(),
         )
         .unwrap();
-        let compiled = CompiledRuleSet::compile(&good, d.schema()).unwrap();
-        assert_eq!(compiled.coverage(&d), good.coverage_interpreted(&d));
-        assert_eq!(compiled.outside_coverage(&d), good.outside_coverage_interpreted(&d));
-        assert_eq!(compiled.attributed_coverage(&d), good.attributed_coverage_interpreted(&d));
+        let (mut covered, mut outside) = (Vec::new(), Vec::new());
+        let mut attributed = vec![Vec::new(); good.len()];
+        for i in 0..d.n_rows() {
+            match good.first_covering(&d.row(i)) {
+                Some(r) => {
+                    covered.push(i);
+                    attributed[r].push(i);
+                }
+                None => outside.push(i),
+            }
+        }
+        assert_eq!(good.coverage(&d), covered);
+        assert_eq!(good.outside_coverage(&d), outside);
+        assert_eq!(good.attributed_coverage(&d), attributed);
+    }
+
+    #[test]
+    #[should_panic(expected = "value kind does not match feature \"k\"")]
+    fn set_scan_panics_with_the_rule_error_of_a_rule_that_does_not_compile() {
+        // Category code 5 is outside `k`'s two-word vocabulary: the scan
+        // reports the compile error instead of silently covering nothing.
+        let frs = FeedbackRuleSet::new(vec![FeedbackRule::deterministic(
+            Clause::new(vec![Predicate::new(1, Op::Eq, Value::Cat(5))]),
+            0,
+        )]);
+        frs.coverage(&ds());
+    }
+
+    #[test]
+    fn every_set_scan_panics_with_the_rule_error() {
+        let d = ds();
+        let frs = FeedbackRuleSet::new(vec![
+            FeedbackRule::deterministic(lt(4.0), 1),
+            FeedbackRule::deterministic(Clause::always_true(), 7),
+        ]);
+        let scans: [&dyn Fn(); 4] = [
+            &|| drop(frs.scan(&d)),
+            &|| drop(frs.coverage(&d)),
+            &|| drop(frs.outside_coverage(&d)),
+            &|| drop(frs.attributed_coverage(&d)),
+        ];
+        for scan in scans {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(scan))
+                .expect_err("a rule with an unknown class must not scan");
+            let text = payload.downcast_ref::<String>().expect("formatted panic message");
+            assert!(text.contains("unknown class index 7"), "{text}");
+        }
     }
 
     #[test]

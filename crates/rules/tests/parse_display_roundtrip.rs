@@ -136,10 +136,9 @@ fn parsed_rules_can_fail_validation_against_a_drifted_schema() {
     assert!(matches!(clause.validate(&shrunk), Err(RuleError::ValueKindMismatch { .. })));
     assert!(CompiledClause::compile(&clause, &shrunk).is_err());
 
-    // The scan layer surfaces the same error as a Result instead of the
-    // interpreter's panic: compiling against a dataset built on the
-    // drifted schema, or ingesting the rule into a set for it, refuses the
-    // mismatched clause.
+    // Compiling against a dataset built on the drifted schema, or
+    // ingesting the rule into a set for it, surfaces the same error as a
+    // Result before any scan runs.
     let mut ds = Dataset::new(serving.clone());
     ds.push_row(&[Value::Num(30.0), Value::Num(50_000.0), Value::Num(3.0)], 1).unwrap();
     let clause = parse_clause("job = teacher", &authoring).unwrap();

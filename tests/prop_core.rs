@@ -107,7 +107,7 @@ proptest! {
     fn objective_bounds(ds in arb_dataset(), clause in arb_rule_clause()) {
         let frs = FeedbackRuleSet::new(vec![FeedbackRule::deterministic(clause, 1)]);
         let w = ObjectiveWeights::default();
-        let v = empirical_j(&Stub, &ds, &frs, &w);
+        let v = empirical_j(&Stub, &ds, &frs, &w, &frs.scan(&ds));
         prop_assert!((0.0..=1.0).contains(&v.j));
         prop_assert!((0.0..=1.0).contains(&v.mra));
         prop_assert!((0.0..=1.0).contains(&v.f1));

@@ -1,8 +1,9 @@
 //! Differential property tests for the compiled columnar rule engine
-//! (`frote_rules::engine`) against the row-at-a-time interpreter.
+//! (`frote_rules::engine`) against a row filter.
 //!
-//! The interpreter (`Predicate::eval` / `Clause::satisfied_by` and the
-//! `*_interpreted` scans) is the executable specification; the compiled
+//! The single-row checks (`Predicate::eval` / `Clause::satisfied_by` and
+//! `FeedbackRuleSet::first_covering`) are the executable specification: the
+//! oracle below filters rows with them one at a time, and the compiled
 //! bitmask engine must agree with it on every row of every dataset,
 //! including rows holding IEEE NaN cells and thresholds that land exactly
 //! on (or one ULP off) the values in the data. Thread invariance is pinned
@@ -11,8 +12,7 @@
 
 use frote_data::{Dataset, Schema, Value};
 use frote_rules::{
-    Clause, CompiledClause, CompiledRuleSet, FeedbackRule, FeedbackRuleSet, Op, Predicate,
-    RuleMaskCache,
+    Clause, CompiledClause, FeedbackRule, FeedbackRuleSet, Op, Predicate, RuleMaskCache,
 };
 use proptest::prelude::*;
 
@@ -93,10 +93,32 @@ fn arb_ruleset(max_rules: usize) -> impl Strategy<Value = FeedbackRuleSet> {
     })
 }
 
+/// The row-filter oracle for a clause: rows whose cells satisfy it.
+fn clause_rows(clause: &Clause, ds: &Dataset) -> Vec<usize> {
+    (0..ds.n_rows()).filter(|&i| clause.satisfied_by(&ds.row(i))).collect()
+}
+
+/// The row-filter oracle for a rule set: `(coverage, outside coverage,
+/// first-match attribution)` from `first_covering`, one row at a time.
+fn set_rows(frs: &FeedbackRuleSet, ds: &Dataset) -> (Vec<usize>, Vec<usize>, Vec<Vec<usize>>) {
+    let (mut covered, mut outside) = (Vec::new(), Vec::new());
+    let mut attributed = vec![Vec::new(); frs.len()];
+    for i in 0..ds.n_rows() {
+        match frs.first_covering(&ds.row(i)) {
+            Some(r) => {
+                covered.push(i);
+                attributed[r].push(i);
+            }
+            None => outside.push(i),
+        }
+    }
+    (covered, outside, attributed)
+}
+
 proptest! {
-    /// The compiled raw-plane mask agrees with the interpreter on every
+    /// The compiled raw-plane mask agrees with `satisfied_by` on every
     /// single row — including rows with NaN cells — and its extracted
-    /// index list equals the interpreted coverage scan.
+    /// index list equals the row filter.
     #[test]
     fn compiled_clause_matches_interpreter_per_row(
         ds in arb_dataset(48),
@@ -112,25 +134,29 @@ proptest! {
                 "row {} of {}: clause {}", i, ds.n_rows(), clause
             );
         }
-        prop_assert_eq!(mask.indices(), clause.coverage_interpreted(&ds));
-        prop_assert_eq!(mask.count(), clause.coverage_count_interpreted(&ds));
-        prop_assert_eq!(compiled.coverage(&ds), clause.coverage(&ds));
+        let oracle = clause_rows(&clause, &ds);
+        prop_assert_eq!(mask.count(), oracle.len());
+        prop_assert_eq!(mask.indices(), oracle.clone());
+        prop_assert_eq!(clause.coverage(&ds), oracle.clone());
+        prop_assert_eq!(clause.coverage_count(&ds), oracle.len());
     }
 
-    /// Whole-set scans: the compiled engine's coverage, outside coverage,
-    /// and first-match attribution agree with the interpreted references.
+    /// Whole-set scans: the one-shot scan's coverage, outside coverage,
+    /// and first-match attribution agree with the row filter, and so do the
+    /// set facades built on it.
     #[test]
     fn compiled_ruleset_matches_interpreted_scans(
         ds in arb_dataset(48),
         frs in arb_ruleset(4),
     ) {
-        let compiled = CompiledRuleSet::compile(&frs, ds.schema()).unwrap();
-        prop_assert_eq!(compiled.coverage(&ds), frs.coverage_interpreted(&ds));
-        prop_assert_eq!(compiled.outside_coverage(&ds), frs.outside_coverage_interpreted(&ds));
-        prop_assert_eq!(
-            compiled.attributed_coverage(&ds),
-            frs.attributed_coverage_interpreted(&ds)
-        );
+        let (covered, outside, attributed) = set_rows(&frs, &ds);
+        let scan = frs.scan(&ds);
+        prop_assert_eq!(scan.coverage(), covered.clone());
+        prop_assert_eq!(scan.outside_coverage(), outside.clone());
+        prop_assert_eq!(scan.attributed_coverage(), attributed.clone());
+        prop_assert_eq!(frs.coverage(&ds), covered);
+        prop_assert_eq!(frs.outside_coverage(&ds), outside);
+        prop_assert_eq!(frs.attributed_coverage(&ds), attributed);
     }
 
     /// Incremental mask maintenance: syncing a prefix, appending the rest
@@ -155,9 +181,10 @@ proptest! {
         let mut fresh = RuleMaskCache::compile(&frs, full.schema()).unwrap();
         fresh.sync(&full);
         prop_assert_eq!(cache.masks(), fresh.masks(), "append drifted from full eval");
-        prop_assert_eq!(cache.coverage(), frs.coverage_interpreted(&full));
-        prop_assert_eq!(cache.outside_coverage(), frs.outside_coverage_interpreted(&full));
-        prop_assert_eq!(cache.attributed_coverage(), frs.attributed_coverage_interpreted(&full));
+        let (covered, outside, attributed) = set_rows(&frs, &full);
+        prop_assert_eq!(cache.coverage(), covered);
+        prop_assert_eq!(cache.outside_coverage(), outside);
+        prop_assert_eq!(cache.attributed_coverage(), attributed);
 
         // Roll back to the prefix: exact, not approximate.
         cache.truncate(split);
@@ -181,7 +208,7 @@ fn large_dataset(n: usize) -> Dataset {
 }
 
 /// The parallel block scan is bit-identical to the serial scan — and to
-/// the interpreter — at every thread count.
+/// the row filter — at every thread count.
 #[test]
 fn parallel_scan_is_thread_invariant() {
     use frote_par::test_support::with_threads;
@@ -199,7 +226,7 @@ fn parallel_scan_is_thread_invariant() {
     for clause in &clauses {
         let compiled = CompiledClause::compile(clause, ds.schema()).unwrap();
         let reference = with_threads(1, || compiled.eval(&ds));
-        assert_eq!(reference.indices(), clause.coverage_interpreted(&ds), "clause {clause}");
+        assert_eq!(reference.indices(), clause_rows(clause, &ds), "clause {clause}");
         for t in [2, 4, 8] {
             let par = with_threads(t, || compiled.eval(&ds));
             assert_eq!(par, reference, "FROTE_THREADS={t}, clause {clause}");
